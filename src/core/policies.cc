@@ -105,15 +105,11 @@ ManagedPartitionPolicy::ManagedPartitionPolicy(Resctrl* resctrl,
                                                PerfMonitor* monitor,
                                                std::vector<AppId> apps,
                                                const ResourcePool& pool,
-                                               ResourceManagerParams params)
-    : apps_(std::move(apps)),
-      pool_(pool),
-      policy_name_(params.partition_policy.empty() ? "copart"
-                                                   : params.partition_policy) {
+                                               ResourceManagerParams params,
+                                               std::string name)
+    : apps_(std::move(apps)), pool_(pool), name_(std::move(name)) {
   manager_ = std::make_unique<ResourceManager>(resctrl, monitor, params);
 }
-
-std::string ManagedPartitionPolicy::name() const { return policy_name_; }
 
 void ManagedPartitionPolicy::Start() {
   manager_->SetResourcePool(pool_);
@@ -132,44 +128,5 @@ void ManagedPartitionPolicy::Tick() {
     manager_->Tick();
   }
 }
-
-CoPartPolicy::CoPartPolicy(Resctrl* resctrl, PerfMonitor* monitor,
-                           std::vector<AppId> apps, const ResourcePool& pool,
-                           ResourceManagerParams params, Mode mode)
-    : apps_(std::move(apps)), pool_(pool), mode_(mode) {
-  switch (mode_) {
-    case Mode::kCoordinated:
-      break;
-    case Mode::kCatOnly:
-      params.enable_mba_partitioning = false;
-      break;
-    case Mode::kMbaOnly:
-      params.enable_llc_partitioning = false;
-      break;
-  }
-  manager_ = std::make_unique<ResourceManager>(resctrl, monitor, params);
-}
-
-std::string CoPartPolicy::name() const {
-  switch (mode_) {
-    case Mode::kCoordinated:
-      return "CoPart";
-    case Mode::kCatOnly:
-      return "CAT-only";
-    case Mode::kMbaOnly:
-      return "MBA-only";
-  }
-  return "?";
-}
-
-void CoPartPolicy::Start() {
-  manager_->SetResourcePool(pool_);
-  for (AppId app : apps_) {
-    Status status = manager_->AddApp(app);
-    CHECK(status.ok()) << status.ToString();
-  }
-}
-
-void CoPartPolicy::Tick() { manager_->Tick(); }
 
 }  // namespace copart

@@ -10,6 +10,12 @@
 //   NoPart    — no partitioning at all (every app in a full-mask group at
 //               MBA 100); the normalization baseline of Figs. 4-6.
 //
+// One wrapper per mechanism: StaticStatePolicy installs a fixed
+// SystemState (EQ, ST, UCP, the serve harness's EqualShare) and
+// ManagedPartitionPolicy drives a ResourceManager (CoPart, CAT-only,
+// MBA-only and the partition-policy registry). NoPart and dCat
+// (core/dcat_policy.h) are the only other implementations.
+//
 // All policies actuate through resctrl only, and share a common driving
 // convention: Start() once after the apps are launched, then Tick() after
 // every control period.
@@ -37,9 +43,10 @@ class ConsolidationPolicy {
   virtual void Tick() = 0;
 };
 
-// Applies a fixed SystemState once; used for EQ and ST. Tick() re-verifies
-// the actuated masks/levels/assignments against the machine and re-applies
-// any that drifted (a resctrl fault can fail or roll back a write after
+// Applies a fixed SystemState once; used for EQ, ST, UCP and the serve
+// harness's EqualShare. Tick() re-verifies the actuated
+// masks/levels/assignments against the machine and re-applies any that
+// drifted (a resctrl fault can fail or roll back a write after
 // Start() has returned — a static policy that never looks again would run
 // the rest of the experiment on the wrong partitioning).
 class StaticStatePolicy : public ConsolidationPolicy {
@@ -87,20 +94,22 @@ class NoPartitionPolicy : public ConsolidationPolicy {
   std::vector<AppId> apps_;
 };
 
-// Drives a ResourceManager configured with a named partition policy
-// (core/partition_policy.h registry: "copart", "lfoc", "lfoc+", "cbp").
-// Unlike CoPartPolicy, AddApp failures are tolerated: per-app CoPart
-// refuses apps beyond its way/CLOS budget, and this wrapper leaves those
-// apps unmanaged in the default group (full mask, MBA 100) and counts
-// them — exactly what a consolidation daemon at the CLOS wall would do.
-// The A/B harness (harness/policy_ab.h) reports that count per cell.
+// Drives a ResourceManager: every dynamic policy — CoPart, its CAT-only
+// and MBA-only ablations (ResourceManagerParams::enable_*_partitioning),
+// and the named partition policies of the core/partition_policy.h
+// registry ("copart", "lfoc", "lfoc+", "cbp"). AddApp failures are
+// tolerated: per-app CoPart refuses apps beyond its way/CLOS budget, and
+// this wrapper leaves those apps unmanaged in the default group (full
+// mask, MBA 100) and counts them — exactly what a consolidation daemon at
+// the CLOS wall would do. The experiment and A/B harnesses report that
+// count.
 class ManagedPartitionPolicy : public ConsolidationPolicy {
  public:
   ManagedPartitionPolicy(Resctrl* resctrl, PerfMonitor* monitor,
                          std::vector<AppId> apps, const ResourcePool& pool,
-                         ResourceManagerParams params);
+                         ResourceManagerParams params, std::string name);
 
-  std::string name() const override;
+  std::string name() const override { return name_; }
   void Start() override;
   void Tick() override;
 
@@ -110,31 +119,8 @@ class ManagedPartitionPolicy : public ConsolidationPolicy {
  private:
   std::vector<AppId> apps_;
   ResourcePool pool_;
-  std::string policy_name_;
+  std::string name_;
   size_t unmanaged_apps_ = 0;
-  std::unique_ptr<ResourceManager> manager_;
-};
-
-// CoPart and its single-resource ablations, wrapping ResourceManager.
-class CoPartPolicy : public ConsolidationPolicy {
- public:
-  enum class Mode { kCoordinated, kCatOnly, kMbaOnly };
-
-  CoPartPolicy(Resctrl* resctrl, PerfMonitor* monitor,
-               std::vector<AppId> apps, const ResourcePool& pool,
-               ResourceManagerParams params, Mode mode = Mode::kCoordinated);
-
-  std::string name() const override;
-  void Start() override;
-  void Tick() override;
-
-  ResourceManager& manager() { return *manager_; }
-  Mode mode() const { return mode_; }
-
- private:
-  std::vector<AppId> apps_;
-  ResourcePool pool_;
-  Mode mode_;
   std::unique_ptr<ResourceManager> manager_;
 };
 

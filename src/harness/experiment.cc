@@ -33,10 +33,8 @@ ExperimentResult RunExperiment(const WorkloadMix& mix,
 
   std::unique_ptr<ConsolidationPolicy> policy =
       factory(&resctrl, &monitor, apps, config.pool);
-  if (auto* copart = dynamic_cast<CoPartPolicy*>(policy.get())) {
-    copart->manager().SetObservability(config.obs);
-  }
-  if (auto* managed = dynamic_cast<ManagedPartitionPolicy*>(policy.get())) {
+  auto* managed = dynamic_cast<ManagedPartitionPolicy*>(policy.get());
+  if (managed != nullptr) {
     managed->manager().SetObservability(config.obs);
   }
   policy->Start();
@@ -63,12 +61,7 @@ ExperimentResult RunExperiment(const WorkloadMix& mix,
   }
   result.unfairness = Unfairness(result.slowdowns);
   result.throughput_geomean = GeoMeanThroughput(result.avg_ips);
-  if (auto* copart = dynamic_cast<CoPartPolicy*>(policy.get())) {
-    result.avg_exploration_us =
-        copart->manager().exploration_time_stats().mean();
-    copart->manager().ExportMetrics(ObsMetrics(config.obs));
-  }
-  if (auto* managed = dynamic_cast<ManagedPartitionPolicy*>(policy.get())) {
+  if (managed != nullptr) {
     result.avg_exploration_us =
         managed->manager().exploration_time_stats().mean();
     result.unmanaged_apps = managed->unmanaged_apps();
@@ -91,31 +84,31 @@ PolicyFactory NoPartFactory() {
   };
 }
 
-PolicyFactory CoPartFactory(ResourceManagerParams params) {
-  return [params](Resctrl* resctrl, PerfMonitor* monitor,
-                  std::vector<AppId> apps, const ResourcePool& pool) {
-    return std::make_unique<CoPartPolicy>(resctrl, monitor, std::move(apps),
-                                          pool, params,
-                                          CoPartPolicy::Mode::kCoordinated);
+namespace {
+
+// A ResourceManager-driven policy shown under `name`.
+PolicyFactory ManagedFactory(ResourceManagerParams params, std::string name) {
+  return [params, name](Resctrl* resctrl, PerfMonitor* monitor,
+                        std::vector<AppId> apps, const ResourcePool& pool) {
+    return std::make_unique<ManagedPartitionPolicy>(
+        resctrl, monitor, std::move(apps), pool, params, name);
   };
+}
+
+}  // namespace
+
+PolicyFactory CoPartFactory(ResourceManagerParams params) {
+  return ManagedFactory(params, "CoPart");
 }
 
 PolicyFactory CatOnlyFactory(ResourceManagerParams params) {
-  return [params](Resctrl* resctrl, PerfMonitor* monitor,
-                  std::vector<AppId> apps, const ResourcePool& pool) {
-    return std::make_unique<CoPartPolicy>(resctrl, monitor, std::move(apps),
-                                          pool, params,
-                                          CoPartPolicy::Mode::kCatOnly);
-  };
+  params.enable_mba_partitioning = false;
+  return ManagedFactory(params, "CAT-only");
 }
 
 PolicyFactory MbaOnlyFactory(ResourceManagerParams params) {
-  return [params](Resctrl* resctrl, PerfMonitor* monitor,
-                  std::vector<AppId> apps, const ResourcePool& pool) {
-    return std::make_unique<CoPartPolicy>(resctrl, monitor, std::move(apps),
-                                          pool, params,
-                                          CoPartPolicy::Mode::kMbaOnly);
-  };
+  params.enable_llc_partitioning = false;
+  return ManagedFactory(params, "MBA-only");
 }
 
 PolicyFactory StaticOracleFactory() {
@@ -133,7 +126,9 @@ PolicyFactory StaticOracleFactory() {
 PolicyFactory UcpFactory() {
   return [](Resctrl* resctrl, PerfMonitor*, std::vector<AppId> apps,
             const ResourcePool& pool) {
-    return std::make_unique<UcpPolicy>(resctrl, std::move(apps), pool);
+    SystemState state = ComputeUcpAllocation(resctrl->machine(), apps, pool);
+    return std::make_unique<StaticStatePolicy>(resctrl, std::move(apps),
+                                               std::move(state), "UCP");
   };
 }
 
@@ -146,11 +141,9 @@ PolicyFactory DcatFactory() {
 }
 
 PolicyFactory PartitionPolicyFactory(ResourceManagerParams params) {
-  return [params](Resctrl* resctrl, PerfMonitor* monitor,
-                  std::vector<AppId> apps, const ResourcePool& pool) {
-    return std::make_unique<ManagedPartitionPolicy>(
-        resctrl, monitor, std::move(apps), pool, params);
-  };
+  const std::string name =
+      params.partition_policy.empty() ? "copart" : params.partition_policy;
+  return ManagedFactory(std::move(params), name);
 }
 
 std::vector<std::pair<std::string, PolicyFactory>> StandardPolicies() {

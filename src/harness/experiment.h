@@ -36,10 +36,11 @@ struct ExperimentConfig {
   // matrix and the figure benches). A single experiment's control loop is
   // inherently sequential and ignores this.
   ParallelConfig parallel;
-  // Optional observability bundle (DESIGN.md §8): attached to the CoPart
-  // family's resource manager (other policies have no control loop to
-  // trace); manager metrics are exported into it when the run ends. Not
-  // owned; null = observability off.
+  // Optional observability bundle (DESIGN.md §8): attached to the
+  // resource manager of a ManagedPartitionPolicy (CoPart, CAT-only,
+  // MBA-only, the partition-policy registry); the static policies, NoPart
+  // and dCat have no manager to trace. Manager metrics are exported into it
+  // when the run ends. Not owned; null = observability off.
   Observability* obs = nullptr;
 };
 
@@ -60,8 +61,9 @@ struct ExperimentResult {
   double throughput_geomean = 0.0;
   // Mean getNextSystemState wall time (0 for static policies) — Fig. 16.
   double avg_exploration_us = 0.0;
-  // Apps the policy declined to manage (ManagedPartitionPolicy only): they
-  // ran in the default group. Per-app CoPart hits this past its way/CLOS
+  // Apps the policy declined to manage (ManagedPartitionPolicy only, i.e.
+  // every ResourceManager-driven policy): they ran in the default group.
+  // Per-app CoPart, CAT-only and MBA-only hit this past their way/CLOS
   // budget; clustered policies keep it at zero.
   size_t unmanaged_apps = 0;
 };
@@ -74,6 +76,9 @@ ExperimentResult RunExperiment(const WorkloadMix& mix,
 // Standard policy factories, keyed by the paper's names.
 PolicyFactory EqFactory();
 PolicyFactory NoPartFactory();
+// CoPart and its single-resource ablations: one ManagedPartitionPolicy,
+// with enable_mba_partitioning (CAT-only) or enable_llc_partitioning
+// (MBA-only) switched off.
 PolicyFactory CoPartFactory(ResourceManagerParams params = {});
 PolicyFactory CatOnlyFactory(ResourceManagerParams params = {});
 PolicyFactory MbaOnlyFactory(ResourceManagerParams params = {});
@@ -81,7 +86,8 @@ PolicyFactory MbaOnlyFactory(ResourceManagerParams params = {});
 // against a noise-free clone of the machine.
 PolicyFactory StaticOracleFactory();
 // UCP: the miss-minimizing utility-based partitioner (core/ucp_policy.h) —
-// an extension baseline beyond the paper's four.
+// an extension baseline beyond the paper's four. Like ST, the allocation is
+// computed at factory time and installed by a StaticStatePolicy.
 PolicyFactory UcpFactory();
 // dCat: the feedback-driven dynamic LLC-only partitioner
 // (core/dcat_policy.h), distilled from the paper's closest related work.

@@ -45,8 +45,8 @@ SensingCellResult RunCell(const SensingConfig& config, SensingMode mode,
     apps.push_back(*app);
   }
 
-  CoPartPolicy policy(&resctrl, &monitor, apps, config.pool, config.manager,
-                      CoPartPolicy::Mode::kCoordinated);
+  ManagedPartitionPolicy policy(&resctrl, &monitor, apps, config.pool,
+                                config.manager, "CoPart");
   policy.Start();
 
   SensingCellResult cell;

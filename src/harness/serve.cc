@@ -12,6 +12,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "core/policies.h"
 #include "core/resource_manager.h"
 #include "core/system_state.h"
 #include "harness/csv_writer.h"
@@ -220,6 +221,7 @@ ServeScenarioResult RunServeScenario(const ServeScenarioConfig& config) {
   uint32_t static_batch_mba = MbaLevel::kMax;
 
   std::unique_ptr<ResourceManager> manager;
+  std::unique_ptr<StaticStatePolicy> equal_share;
   if (config.mode == ServeMode::kCopartSlo) {
     ResourceManagerParams params = config.copart_params;
     params.control_period_sec = config.control_period_sec;
@@ -260,29 +262,17 @@ ServeScenarioResult RunServeScenario(const ServeScenarioConfig& config) {
                             .num_ways = total_ways,
                             .max_mba_percent = MbaLevel::kMax};
     const SystemState eq = SystemState::EqualShareThrottled(pool, total_apps);
-    size_t slot = 0;
-    auto install = [&](AppId app) {
-      Result<ResctrlGroupId> group =
-          resctrl.CreateGroup("eq_" + std::to_string(app.value()));
-      CHECK(group.ok()) << group.status().ToString();
-      Status status = resctrl.AssignApp(*group, app);
-      CHECK(status.ok()) << status.ToString();
-      status = resctrl.SetCacheMask(*group, eq.WayMaskBits(slot));
-      CHECK(status.ok()) << status.ToString();
-      status = resctrl.SetMbaPercent(*group,
-                                     eq.allocation(slot).mba_level.percent());
-      CHECK(status.ok()) << status.ToString();
-      ++slot;
-    };
-    for (const LcRuntime& lc : lcs) {
-      install(lc.id);
-    }
-    for (AppId app : batch) {
-      install(app);
-    }
     static_lc_ways =
         static_cast<uint32_t>(std::popcount(eq.WayMaskBits(0)));
     static_batch_mba = eq.allocation(total_apps - 1).mba_level.percent();
+    std::vector<AppId> apps;
+    for (const LcRuntime& lc : lcs) {
+      apps.push_back(lc.id);
+    }
+    apps.insert(apps.end(), batch.begin(), batch.end());
+    equal_share = std::make_unique<StaticStatePolicy>(
+        &resctrl, std::move(apps), eq, ServeModeName(config.mode));
+    equal_share->Start();
   }
   // kNoPart: every app stays in the default CLOS (all ways, MBA 100).
 
@@ -369,6 +359,9 @@ ServeScenarioResult RunServeScenario(const ServeScenarioConfig& config) {
     }
     if (manager != nullptr) {
       manager->Tick();
+    }
+    if (equal_share != nullptr) {
+      equal_share->Tick();
     }
   }
 

@@ -11,7 +11,8 @@
 //                  MBA protection) and CoPart runs fairness allocation for
 //                  the batch apps over the remaining pool.
 //   kEqualShare  — one static equal split of the whole machine across all
-//                  apps (LC and batch alike), MBA throttled evenly.
+//                  apps (LC and batch alike), MBA throttled evenly,
+//                  installed by a StaticStatePolicy.
 //   kNoPart      — no partitioning at all: every app in the default CLOS.
 //
 // Everything is seed-deterministic: LC server streams are forked from the

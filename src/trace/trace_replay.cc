@@ -79,9 +79,17 @@ class JsonParser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Containers recurse: cap the depth before the stack overflows.
+        if (depth_ == kTraceReplayMaxNestingDepth) {
+          return Error("nesting depth exceeds " +
+                       std::to_string(kTraceReplayMaxNestingDepth));
+        }
+        ++depth_;
+        Result<JsonValue> value = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return value;
+      }
       case '"':
         return ParseString();
       case 't':
@@ -258,6 +266,7 @@ class JsonParser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // Arrays/objects currently open.
 };
 
 // --- Schema checking ---

@@ -66,8 +66,14 @@ struct TraceReplay {
   ArrivalConfig arrival;
 };
 
+// Deepest array/object nesting the parser accepts; deeper documents are
+// malformed (the schema itself nests five levels: $.serve.arrival.
+// burst_phases[i]).
+inline constexpr int kTraceReplayMaxNestingDepth = 64;
+
 // Parses a schema-checked JSON document. InvalidArgumentError on malformed
-// JSON, schema violations, unknown keys, or out-of-range values.
+// JSON (including nesting past kTraceReplayMaxNestingDepth), schema
+// violations, unknown keys, or out-of-range values.
 Result<TraceReplay> ParseTraceReplay(const std::string& json);
 
 // Reads `path` and parses it. NotFoundError when unreadable.

@@ -1,9 +1,11 @@
-// The policy layer: EQ/ST/NoPart static policies and the CoPart modes.
+// The policy layer: EQ/ST/UCP static policies, NoPart, and CoPart with
+// its single-resource ablations.
 #include "core/policies.h"
 
 #include <gtest/gtest.h>
 
 #include "common/fault_injector.h"
+#include "harness/experiment.h"
 #include "workload/workload.h"
 
 namespace copart {
@@ -84,19 +86,23 @@ TEST_F(PoliciesTest, StaticOraclePolicyAppliesGivenState) {
   EXPECT_EQ(machine_.ClosMbaLevel(machine_.AppClos(apps_[3])).percent(), 10u);
 }
 
-TEST_F(PoliciesTest, StaticPolicyTickRepairsDriftedState) {
-  std::vector<AppAllocation> allocations(4);
-  for (size_t i = 0; i < 4; ++i) {
-    allocations[i] = {.llc_ways = i == 0 ? 5u : 2u,
-                      .mba_level = MbaLevel::FromPercentChecked(100)};
-  }
-  auto policy =
-      MakeStaticOraclePolicy(&resctrl_, apps_, SystemState(FullPool(),
-                                                           allocations));
-  auto* static_policy = static_cast<StaticStatePolicy*>(policy.get());
+// Drift repair runs for every StaticStatePolicy, whichever factory built
+// it.
+class StaticPolicyDriftTest
+    : public PoliciesTest,
+      public ::testing::WithParamInterface<
+          std::pair<std::string, PolicyFactory>> {};
+
+TEST_P(StaticPolicyDriftTest, TickRepairsDriftedState) {
+  auto policy = GetParam().second(&resctrl_, &monitor_, apps_, FullPool());
+  EXPECT_EQ(policy->name(), GetParam().first);
+  auto* static_policy = dynamic_cast<StaticStatePolicy*>(policy.get());
+  ASSERT_NE(static_policy, nullptr);
   policy->Start();
   const uint32_t clos = machine_.AppClos(apps_[0]);
-  ASSERT_EQ(machine_.ClosWayMask(clos).bits(), 0x01Fu);
+  const uint64_t mask = machine_.ClosWayMask(clos).bits();
+  const uint32_t mba = machine_.ClosMbaLevel(clos).percent();
+  ASSERT_EQ(mask & 1u, 1u) << "app 0 holds the pool's first way";
 
   // A drift-free tick is a no-op.
   policy->Tick();
@@ -104,14 +110,20 @@ TEST_F(PoliciesTest, StaticPolicyTickRepairsDriftedState) {
 
   // External drift (a fault rolled back a write, an operator fat-fingered
   // the schemata): the next tick must detect and repair it.
-  machine_.SetClosWayMask(clos, WayMask::Contiguous(0, 1));
+  machine_.SetClosWayMask(clos, WayMask::Contiguous(10, 1));
   machine_.SetClosMbaLevel(clos, MbaLevel::FromPercentChecked(10));
   policy->Tick();
   EXPECT_EQ(static_policy->drifts_detected(), 1u);
   EXPECT_EQ(static_policy->drifts_repaired(), 1u);
-  EXPECT_EQ(machine_.ClosWayMask(clos).bits(), 0x01Fu);
-  EXPECT_EQ(machine_.ClosMbaLevel(clos).percent(), 100u);
+  EXPECT_EQ(machine_.ClosWayMask(clos).bits(), mask);
+  EXPECT_EQ(machine_.ClosMbaLevel(clos).percent(), mba);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Factories, StaticPolicyDriftTest,
+    ::testing::Values(std::make_pair(std::string("EQ"), EqFactory()),
+                      std::make_pair(std::string("UCP"), UcpFactory())),
+    [](const auto& info) { return info.param.first; });
 
 TEST(StaticPolicyFaultTest, TickRetriesRepairUntilTheSubstrateRecovers) {
   FaultInjector injector(0xE44ULL);
@@ -160,17 +172,18 @@ TEST(StaticPolicyFaultTest, TickRetriesRepairUntilTheSubstrateRecovers) {
 
 TEST_F(PoliciesTest, CoPartModesGateTheirResources) {
   {
-    CoPartPolicy policy(&resctrl_, &monitor_, apps_, FullPool(), {},
-                        CoPartPolicy::Mode::kCatOnly);
-    EXPECT_EQ(policy.name(), "CAT-only");
-    policy.Start();
+    auto policy = CatOnlyFactory()(&resctrl_, &monitor_, apps_, FullPool());
+    auto* managed = dynamic_cast<ManagedPartitionPolicy*>(policy.get());
+    ASSERT_NE(managed, nullptr);
+    EXPECT_EQ(policy->name(), "CAT-only");
+    policy->Start();
     for (int i = 0; i < 200; ++i) {
       machine_.AdvanceTime(0.5);
-      policy.Tick();
+      policy->Tick();
     }
     // MBA frozen at the equal static share for every app.
     for (size_t i = 0; i < apps_.size(); ++i) {
-      EXPECT_EQ(policy.manager().current_state().allocation(i).mba_level
+      EXPECT_EQ(managed->manager().current_state().allocation(i).mba_level
                     .percent(),
                 30u);
     }
@@ -178,29 +191,31 @@ TEST_F(PoliciesTest, CoPartModesGateTheirResources) {
 }
 
 TEST_F(PoliciesTest, MbaOnlyKeepsWaysEqual) {
-  CoPartPolicy policy(&resctrl_, &monitor_, apps_, FullPool(), {},
-                      CoPartPolicy::Mode::kMbaOnly);
-  EXPECT_EQ(policy.name(), "MBA-only");
-  policy.Start();
+  auto policy = MbaOnlyFactory()(&resctrl_, &monitor_, apps_, FullPool());
+  auto* managed = dynamic_cast<ManagedPartitionPolicy*>(policy.get());
+  ASSERT_NE(managed, nullptr);
+  EXPECT_EQ(policy->name(), "MBA-only");
+  policy->Start();
   for (int i = 0; i < 200; ++i) {
     machine_.AdvanceTime(0.5);
-    policy.Tick();
+    policy->Tick();
   }
-  const SystemState& state = policy.manager().current_state();
+  const SystemState& state = managed->manager().current_state();
   EXPECT_EQ(state.allocation(0).llc_ways, 3u);
   EXPECT_EQ(state.allocation(3).llc_ways, 2u);
 }
 
 TEST_F(PoliciesTest, CoordinatedModeMovesBothResources) {
-  CoPartPolicy policy(&resctrl_, &monitor_, apps_, FullPool(), {},
-                      CoPartPolicy::Mode::kCoordinated);
-  EXPECT_EQ(policy.name(), "CoPart");
-  policy.Start();
+  auto policy = CoPartFactory()(&resctrl_, &monitor_, apps_, FullPool());
+  auto* managed = dynamic_cast<ManagedPartitionPolicy*>(policy.get());
+  ASSERT_NE(managed, nullptr);
+  EXPECT_EQ(policy->name(), "CoPart");
+  policy->Start();
   for (int i = 0; i < 200; ++i) {
     machine_.AdvanceTime(0.5);
-    policy.Tick();
+    policy->Tick();
   }
-  const SystemState& state = policy.manager().current_state();
+  const SystemState& state = managed->manager().current_state();
   // The insensitive app (index 3) must have been drained of ways and the
   // LLC split differentiated away from the equal (3,3,3,2) start. (MBA may
   // legitimately stay uniform: with ample bandwidth the fairest levels are

@@ -80,23 +80,23 @@ TEST_F(UcpTest, RespectsPoolBounds) {
   EXPECT_EQ(state.WayMaskBits(0) & 0xF, 0u);
 }
 
-TEST(UcpPolicyTest, AppliesThroughResctrl) {
+TEST(UcpFactoryTest, AppliesThroughResctrl) {
   SimulatedMachine machine(QuietConfig());
   Resctrl resctrl(&machine);
   Result<AppId> wn = machine.LaunchApp(WaterNsquared(), 4);
   Result<AppId> sw = machine.LaunchApp(Swaptions(), 4);
   ASSERT_TRUE(wn.ok());
   ASSERT_TRUE(sw.ok());
-  UcpPolicy policy(&resctrl, {*wn, *sw}, FullPool());
-  EXPECT_EQ(policy.name(), "UCP");
-  policy.Start();
+  auto policy = UcpFactory()(&resctrl, nullptr, {*wn, *sw}, FullPool());
+  EXPECT_EQ(policy->name(), "UCP");
+  policy->Start();
   EXPECT_NE(machine.AppClos(*wn), 0u);
   EXPECT_EQ(machine.ClosWayMask(machine.AppClos(*sw)).CountWays(), 1u);
   EXPECT_FALSE(machine.ClosWayMask(machine.AppClos(*wn))
                    .Overlaps(machine.ClosWayMask(machine.AppClos(*sw))));
 }
 
-TEST(UcpPolicyTest, StrongStaticBaselineOnLlcMix) {
+TEST(UcpFactoryTest, StrongStaticBaselineOnLlcMix) {
   // With oracle miss curves (unlike hardware UCP's noisy UMON samples),
   // UCP acts as a strong static LLC allocator on this substrate: at least
   // EQ's throughput and far better than EQ's fairness on the H-LLC mix.

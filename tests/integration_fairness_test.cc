@@ -13,11 +13,16 @@
 namespace copart {
 namespace {
 
+// The paper's five policies plus UCP. Every paper mix fits the per-app
+// way/CLOS budget, so no policy may leave an app unmanaged.
 std::map<std::string, ExperimentResult> RunAllPolicies(
     const WorkloadMix& mix, const ExperimentConfig& config) {
+  auto policies = StandardPolicies();
+  policies.emplace_back("UCP", UcpFactory());
   std::map<std::string, ExperimentResult> results;
-  for (const auto& [name, factory] : StandardPolicies()) {
+  for (const auto& [name, factory] : policies) {
     results[name] = RunExperiment(mix, factory, config);
+    EXPECT_EQ(results[name].unmanaged_apps, 0u) << mix.name << " " << name;
   }
   return results;
 }
@@ -25,13 +30,13 @@ std::map<std::string, ExperimentResult> RunAllPolicies(
 class MixFairnessTest : public ::testing::TestWithParam<MixFamily> {};
 
 // CoPart achieves (weakly) better fairness than EQ on every sensitive mix,
-// with real improvement on the heavily sensitive ones.
+// with real improvement on the heavily sensitive ones. Every policy admits
+// all four apps of every mix.
 TEST_P(MixFairnessTest, CoPartAtLeastAsFairAsEq) {
   const WorkloadMix mix = MakeMix(GetParam(), 4);
-  ExperimentConfig config;
-  const ExperimentResult copart =
-      RunExperiment(mix, CoPartFactory(), config);
-  const ExperimentResult eq = RunExperiment(mix, EqFactory(), config);
+  auto results = RunAllPolicies(mix, {});
+  const ExperimentResult& copart = results["CoPart"];
+  const ExperimentResult& eq = results["EQ"];
   SCOPED_TRACE(mix.name + ": CoPart=" + std::to_string(copart.unfairness) +
                " EQ=" + std::to_string(eq.unfairness));
   // Insensitive mixes are near-fair under any policy; allow noise there.
@@ -101,6 +106,18 @@ TEST(FairnessHeadline, AverageImprovementOverEq) {
   const double geomean_ratio = std::exp(log_ratio_sum / count);
   // >= 30% average unfairness reduction across the sensitive mixes.
   EXPECT_LT(geomean_ratio, 0.7) << "geomean CoPart/EQ = " << geomean_ratio;
+}
+
+// Past its way budget (12 apps, 11 ways) per-app CoPart admits what fits
+// and runs the rest unmanaged in the default group instead of aborting.
+TEST(FairnessHeadline, OverBudgetCoPartRunsExtraAppsUnmanaged) {
+  ExperimentConfig config;
+  config.duration_sec = 5.0;
+  const ExperimentResult result =
+      RunExperiment(MakeMix(MixFamily::kHighLlc, 12), CoPartFactory(), config);
+  EXPECT_EQ(result.policy_name, "CoPart");
+  EXPECT_GE(result.unmanaged_apps, 1u);
+  EXPECT_EQ(result.slowdowns.size(), 12u);
 }
 
 // Overhead (Fig. 16): mean exploration time stays in the tens of

@@ -153,6 +153,39 @@ TEST(TraceReplayTest, RejectsTrailingGarbage) {
   EXPECT_FALSE(ParseTraceReplay("{} extra").ok());
 }
 
+// `depth` nested empty arrays: "[[...]]".
+std::string NestedArrays(size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(TraceReplayTest, NestingAtTheDepthLimitParses) {
+  // Well-formed JSON at the limit: only the schema check rejects it.
+  Result<TraceReplay> replay =
+      ParseTraceReplay(NestedArrays(kTraceReplayMaxNestingDepth));
+  ASSERT_FALSE(replay.ok());
+  EXPECT_NE(replay.status().message().find("top level must be an object"),
+            std::string::npos)
+      << replay.status().ToString();
+}
+
+TEST(TraceReplayTest, RejectsNestingPastTheDepthLimit) {
+  Result<TraceReplay> replay =
+      ParseTraceReplay(NestedArrays(kTraceReplayMaxNestingDepth + 1));
+  ASSERT_FALSE(replay.ok());
+  EXPECT_EQ(replay.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(replay.status().message().find("nesting depth"),
+            std::string::npos)
+      << replay.status().ToString();
+}
+
+TEST(TraceReplayTest, RejectsMillionDeepNestingWithoutCrashing) {
+  // Unbounded recursion used to overflow the stack here.
+  Result<TraceReplay> replay = ParseTraceReplay(NestedArrays(1000000));
+  ASSERT_FALSE(replay.ok());
+  EXPECT_NE(replay.status().message().find("nesting depth"),
+            std::string::npos);
+}
+
 TEST(TraceReplayTest, RejectsWrongSchemaTag) {
   const char kDoc[] = R"({
     "schema": "copart-trace-v9",

@@ -93,6 +93,37 @@ int Usage() {
   return 2;
 }
 
+// Range checks for the positional app_count / duration_sec arguments; on
+// failure they print why and the command exits 2. Every app needs a core of
+// its own; a static state (EQ, ST, UCP) also needs an LLC way per app.
+size_t MaxApps(bool way_per_app) {
+  const ExperimentConfig defaults;
+  return way_per_app ? defaults.pool.num_ways : defaults.machine.num_cores;
+}
+
+bool AppCountOk(const char* command, size_t count, size_t max_apps) {
+  if (count >= 2 && count <= max_apps) {
+    return true;
+  }
+  std::fprintf(stderr, "%s: app_count must be an integer in 2..%zu\n",
+               command, max_apps);
+  return false;
+}
+
+// At least one control period; at most a simulated day, which keeps the
+// period count far inside an int.
+bool DurationOk(const char* command, double duration) {
+  const double period = ExperimentConfig().control_period_sec;
+  constexpr double kMaxDurationSec = 86400.0;
+  if (duration >= period && duration <= kMaxDurationSec) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "%s: duration_sec must be a number in [%g, %g] seconds\n",
+               command, period, kMaxDurationSec);
+  return false;
+}
+
 Result<WorkloadDescriptor> FindBenchmark(const std::string& name) {
   std::vector<WorkloadDescriptor> all = AllTable2Benchmarks();
   all.push_back(Stream());
@@ -200,7 +231,13 @@ int CmdRun(const std::string& mix_name, const std::string& policy_name,
   const WorkloadMix mix = MakeMix(*family, count);
   std::printf("%s on %s (%zu apps, %.0fs):\n", policy_name.c_str(),
               mix.name.c_str(), mix.apps.size(), duration);
-  PrintExperiment(RunExperiment(mix, *factory, config));
+  const ExperimentResult result = RunExperiment(mix, *factory, config);
+  PrintExperiment(result);
+  if (result.unmanaged_apps > 0) {
+    std::printf("unmanaged apps (past the way/CLOS budget, default group): "
+                "%zu\n",
+                result.unmanaged_apps);
+  }
   return 0;
 }
 
@@ -698,16 +735,29 @@ int Main(int argc, char** argv) {
     return CmdCharacterize(argv[2], parallel);
   }
   if (command == "run" && argc >= 4) {
+    const std::string policy = argv[3];
     const size_t count = argc >= 5 ? std::strtoul(argv[4], nullptr, 10) : 4;
     const double duration = argc >= 6 ? std::strtod(argv[5], nullptr) : 50.0;
-    return CmdRun(argv[2], argv[3], count, duration);
+    const bool static_state =
+        policy == "EQ" || policy == "ST" || policy == "UCP";
+    if (!AppCountOk("run", count, MaxApps(static_state)) ||
+        !DurationOk("run", duration)) {
+      return 2;
+    }
+    return CmdRun(argv[2], policy, count, duration);
   }
   if (command == "compare" && argc >= 3) {
     const size_t count = argc >= 4 ? std::strtoul(argv[3], nullptr, 10) : 4;
+    if (!AppCountOk("compare", count, MaxApps(/*way_per_app=*/true))) {
+      return 2;
+    }
     return CmdCompare(argv[2], count);
   }
   if (command == "oracle" && argc >= 3) {
     const size_t count = argc >= 4 ? std::strtoul(argv[3], nullptr, 10) : 4;
+    if (!AppCountOk("oracle", count, MaxApps(/*way_per_app=*/true))) {
+      return 2;
+    }
     return CmdOracle(argv[2], count, parallel);
   }
   if (command == "casestudy") {
@@ -748,6 +798,12 @@ int Main(int argc, char** argv) {
       } else {
         return Usage();
       }
+    }
+    // Sensing adds a phased probe app and reads every app's classes from
+    // per-app CoPart, so all count + 1 apps need a way of their own.
+    if (!AppCountOk("sensing", count, MaxApps(/*way_per_app=*/true) - 1) ||
+        !DurationOk("sensing", duration)) {
+      return 2;
     }
     return CmdSensing(mix, count, duration, csv_path, parallel);
   }
@@ -847,6 +903,10 @@ int Main(int argc, char** argv) {
         duration = std::strtod(argv[i], nullptr);
         ++positional;
       }
+    }
+    if (!AppCountOk("trace", count, MaxApps(/*way_per_app=*/false)) ||
+        !DurationOk("trace", duration)) {
+      return 2;
     }
     return CmdTrace(argv[2], count, duration, prefix);
   }

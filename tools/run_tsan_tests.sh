@@ -6,8 +6,8 @@
 # The parallel sweep engine is the only multi-threaded code in the tree, so
 # this focuses on the tests that exercise it: the pool/ParallelFor unit
 # tests, the cross-thread-count determinism suite, the golden sweep, and
-# the RNG splitter. Set COPART_SANITIZE=address via -DCOPART_SANITIZE in a
-# separate build dir for an ASan/UBSan pass instead.
+# the RNG splitter. tools/run_asan_tests.sh runs the full suite under
+# ASan+UBSan instead.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

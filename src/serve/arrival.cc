@@ -6,9 +6,46 @@
 #include "common/logging.h"
 
 namespace copart {
+namespace {
+
+// kBurst rate at `offset` seconds into the phase cycle.
+double BurstPhaseRate(const ArrivalConfig& config, double offset) {
+  for (const BurstPhase& phase : config.burst_phases) {
+    if (offset < phase.duration_sec) {
+      return config.base_rate_rps * phase.rate_multiplier;
+    }
+    offset -= phase.duration_sec;
+  }
+  return config.base_rate_rps * config.burst_phases.back().rate_multiplier;
+}
+
+// Maximum of ArrivalRateAt over all t — the thinning envelope.
+double EnvelopeRate(const ArrivalConfig& config) {
+  switch (config.kind) {
+    case ArrivalKind::kPoisson:
+      return config.base_rate_rps;
+    case ArrivalKind::kDiurnal:
+      return config.base_rate_rps * (1.0 + config.diurnal_amplitude);
+    case ArrivalKind::kBurst: {
+      double peak = 1.0;
+      for (const BurstPhase& phase : config.burst_phases) {
+        peak = std::max(peak, phase.rate_multiplier);
+      }
+      return config.base_rate_rps * peak;
+    }
+    case ArrivalKind::kFlashCrowd:
+      return config.base_rate_rps * std::max(1.0, config.flash_multiplier);
+  }
+  return config.base_rate_rps;
+}
+
+}  // namespace
 
 ArrivalGenerator::ArrivalGenerator(const ArrivalConfig& config, Rng rng)
-    : config_(config), rng_(rng) {
+    : config_(config),
+      rng_(rng),
+      peak_(EnvelopeRate(config)),
+      mean_gap_(1.0 / peak_) {
   CHECK_GT(config_.base_rate_rps, 0.0);
   if (config_.kind == ArrivalKind::kDiurnal) {
     CHECK_GT(config_.diurnal_period_sec, 0.0);
@@ -24,6 +61,16 @@ ArrivalGenerator::ArrivalGenerator(const ArrivalConfig& config, Rng rng)
     CHECK_GT(phase.duration_sec, 0.0);
     CHECK_GE(phase.rate_multiplier, 0.0);
     cycle_sec_ += phase.duration_sec;
+  }
+  if (config_.kind == ArrivalKind::kBurst && !config_.burst_phases.empty()) {
+    // An all-zero cycle never accepts a thinning candidate: Next() would
+    // spin forever.
+    CHECK(std::any_of(config_.burst_phases.begin(),
+                      config_.burst_phases.end(),
+                      [](const BurstPhase& phase) {
+                        return phase.rate_multiplier > 0.0;
+                      }))
+        << "every kBurst phase has rate_multiplier 0";
   }
 }
 
@@ -49,13 +96,7 @@ double ArrivalRateAt(const ArrivalConfig& config, double t) {
       if (offset < 0.0) {
         offset += cycle_sec;
       }
-      for (const BurstPhase& phase : config.burst_phases) {
-        if (offset < phase.duration_sec) {
-          return config.base_rate_rps * phase.rate_multiplier;
-        }
-        offset -= phase.duration_sec;
-      }
-      return config.base_rate_rps * config.burst_phases.back().rate_multiplier;
+      return BurstPhaseRate(config, offset);
     }
     case ArrivalKind::kFlashCrowd: {
       const bool in_flash =
@@ -72,33 +113,35 @@ double ArrivalGenerator::RateAt(double t) const {
   return ArrivalRateAt(config_, t);
 }
 
-double ArrivalGenerator::PeakRate() const {
-  switch (config_.kind) {
-    case ArrivalKind::kPoisson:
-      return config_.base_rate_rps;
-    case ArrivalKind::kDiurnal:
-      return config_.base_rate_rps * (1.0 + config_.diurnal_amplitude);
-    case ArrivalKind::kBurst: {
-      double peak = 1.0;
-      for (const BurstPhase& phase : config_.burst_phases) {
-        peak = std::max(peak, phase.rate_multiplier);
-      }
-      return config_.base_rate_rps * peak;
-    }
-    case ArrivalKind::kFlashCrowd:
-      return config_.base_rate_rps * std::max(1.0, config_.flash_multiplier);
+double ArrivalGenerator::CycleOffset(double t) {
+  if (!(t >= cycle_base_ && t < cycle_next_)) {
+    const double k = std::floor(t / cycle_sec_);
+    cycle_base_ = k * cycle_sec_;
+    cycle_next_ = (k + 1.0) * cycle_sec_;
+    // When both products are exact (a zero fma residual) and bracket t,
+    // k = floor(t / cycle) exactly, and t - k * cycle is the exact fmod
+    // result, which is representable, so the subtraction returns it.
+    cycle_exact_ = std::fma(k, cycle_sec_, -cycle_base_) == 0.0 &&
+                   std::fma(k + 1.0, cycle_sec_, -cycle_next_) == 0.0 &&
+                   t >= cycle_base_ && t < cycle_next_;
   }
-  return config_.base_rate_rps;
+  return cycle_exact_ ? t - cycle_base_ : std::fmod(t, cycle_sec_);
+}
+
+double ArrivalGenerator::CandidateRate(double t) {
+  if (config_.kind != ArrivalKind::kBurst || cycle_sec_ <= 0.0) {
+    return ArrivalRateAt(config_, t);
+  }
+  return BurstPhaseRate(config_, CycleOffset(t));
 }
 
 double ArrivalGenerator::Next() {
-  const double peak = PeakRate();
   for (;;) {
-    t_ += rng_.NextExponential(1.0 / peak);
+    t_ += rng_.NextExponential(mean_gap_);
     // One uniform per candidate regardless of shape keeps the stream
     // layout identical across kinds (see the header).
     const double accept = rng_.NextDouble();
-    if (accept * peak < RateAt(t_)) {
+    if (accept * peak_ < CandidateRate(t_)) {
       return t_;
     }
   }

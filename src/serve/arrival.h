@@ -17,6 +17,12 @@
 // draw sequence (one exponential + one uniform per candidate) is fixed
 // for every shape — including plain Poisson — so switching shapes never
 // shifts a co-located generator's stream.
+//
+// The envelope and its reciprocal are computed once per generator, and a
+// kBurst generator tracks the current cycle's start instead of calling
+// fmod per candidate. The tracked offset equals fmod exactly (fmod is the
+// fallback whenever the cycle bounds are not exact products), so Next()
+// returns the same times as thinning against ArrivalRateAt would.
 #ifndef COPART_SERVE_ARRIVAL_H_
 #define COPART_SERVE_ARRIVAL_H_
 
@@ -71,12 +77,25 @@ class ArrivalGenerator {
   double RateAt(double t) const;
 
   // Maximum of RateAt over all t — the thinning envelope.
-  double PeakRate() const;
+  double PeakRate() const { return peak_; }
 
  private:
+  // fmod(t, cycle_sec_) for t >= 0, from the tracked cycle when exact.
+  double CycleOffset(double t);
+  // RateAt(t) for a thinning candidate; kBurst goes through CycleOffset.
+  double CandidateRate(double t);
+
   ArrivalConfig config_;
   Rng rng_;
+  double peak_;      // PeakRate().
+  double mean_gap_;  // 1 / peak_: the candidate process's mean gap.
   double cycle_sec_ = 0.0;  // Total kBurst cycle length (0 = constant).
+  // Tracked kBurst cycle [cycle_base_, cycle_next_) = [k, k+1) * cycle_sec_;
+  // cycle_exact_ when both ends are exact products bracketing the last
+  // candidate.
+  double cycle_base_ = 0.0;
+  double cycle_next_ = 0.0;
+  bool cycle_exact_ = false;
   double t_ = 0.0;
 };
 

@@ -5,8 +5,9 @@
 // a quantile is reported as the upper edge of the bucket containing it —
 // a deterministic overestimate whose relative error is bounded by the
 // bucket ratio (10^(1/kBucketsPerDecade) - 1, about 7.5%). Everything is
-// plain integer counters: Record() is a binary search plus an increment,
-// no allocation, no floating-point accumulation order to worry about —
+// plain integer counters: Record() is one table lookup keyed by the
+// value's exponent and top mantissa bits, one edge comparison and an
+// increment. With no allocation and no floating-point accumulation order,
 // the sketch merges and replays bit-identically for any thread count
 // (DESIGN.md §9).
 #ifndef COPART_SERVE_LATENCY_SKETCH_H_
@@ -55,9 +56,10 @@ class LatencySketch {
   static double BucketUpperEdge(int index);
 
  private:
-  // Index of the bucket containing `latency_sec` (branch-free range clamp
-  // plus binary search over the precomputed edges — never floating log,
-  // whose libm rounding may differ across toolchains).
+  // Index of the bucket containing `latency_sec`: range clamp, then an
+  // O(1) slice lookup plus one comparison against the precomputed edges —
+  // exactly the first edge above the value, never floating log, whose libm
+  // rounding may differ across toolchains.
   static int BucketIndex(double latency_sec);
 
   std::array<uint64_t, kNumBuckets> buckets_;

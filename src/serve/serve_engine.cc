@@ -31,7 +31,6 @@ void LcServer::StartService() {
 void LcServer::RecordCompletion(double completion_time) {
   const double latency = completion_time - queue_.front();
   epoch_sketch_.Record(latency);
-  total_sketch_.Record(latency);
   queue_.pop();
   ++total_completions_;
 }
@@ -96,6 +95,9 @@ EpochServeStats LcServer::AdvanceEpoch(double dt, double ips_capability) {
   }
 
   now_ = end;
+  // Bucket counts are integers, so folding the epoch into the run-level
+  // sketch once equals recording every completion into both.
+  total_sketch_.Merge(epoch_sketch_);
   stats.queue_depth_end = queue_.size_;
   stats.offered_rps = static_cast<double>(stats.arrivals) / dt;
   if (epoch_sketch_.count() > 0) {

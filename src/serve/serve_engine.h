@@ -7,8 +7,9 @@
 // the offered load never backs off), the queue is a fixed-capacity ring of
 // arrival timestamps (allocation-free after construction; the engine drops
 // at the tail when full), and every completed request's sojourn time is
-// recorded into two LatencySketches — a per-epoch one (the controller's
-// feedback signal) and a cumulative one (the run-level tail estimate).
+// recorded into a per-epoch LatencySketch (the controller's feedback
+// signal), which AdvanceEpoch() merges into a cumulative one (the
+// run-level tail estimate) when the epoch ends.
 //
 // AdvanceEpoch() runs the event loop over exactly one control period:
 // events are the held pending arrival and the head-of-line completion,
@@ -80,7 +81,8 @@ class LcServer {
   uint64_t total_drops() const { return total_drops_; }
   uint64_t queue_depth() const { return queue_.size_; }
 
-  // Cumulative sojourn-time sketch over the whole run.
+  // Cumulative sojourn-time sketch over the whole run (complete at every
+  // epoch boundary).
   const LatencySketch& cumulative_latency() const { return total_sketch_; }
 
  private:
@@ -90,12 +92,20 @@ class LcServer {
     size_t size_ = 0;
     bool full() const { return size_ == slots.size(); }
     double front() const { return slots[head]; }
+    // head and head + size_ stay below 2 * slots.size(), so one
+    // conditional subtraction wraps them.
     void push(double t) {
-      slots[(head + size_) % slots.size()] = t;
+      size_t tail = head + size_;
+      if (tail >= slots.size()) {
+        tail -= slots.size();
+      }
+      slots[tail] = t;
       ++size_;
     }
     void pop() {
-      head = (head + 1) % slots.size();
+      if (++head == slots.size()) {
+        head = 0;
+      }
       --size_;
     }
   };

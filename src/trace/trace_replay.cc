@@ -1,5 +1,6 @@
 #include "trace/trace_replay.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
@@ -601,6 +602,16 @@ Status ParseArrival(const JsonValue& node, const std::string& path,
       arrival.burst_phases.push_back(
           BurstPhase{.duration_sec = *duration,
                      .rate_multiplier = *multiplier});
+    }
+    if (arrival.kind == ArrivalKind::kBurst &&
+        !arrival.burst_phases.empty() &&
+        std::none_of(arrival.burst_phases.begin(),
+                     arrival.burst_phases.end(),
+                     [](const BurstPhase& phase) {
+                       return phase.rate_multiplier > 0.0;
+                     })) {
+      return SchemaError(path + ".burst_phases",
+                         "at least one rate_multiplier must be > 0");
     }
   }
   return Status::Ok();

@@ -4,6 +4,7 @@
 #include "serve/arrival.h"
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -173,6 +174,97 @@ TEST(ArrivalGeneratorTest, ThinningRealizesFlashCrowdStep) {
   EXPECT_EQ(outside, 79941u);
   EXPECT_NEAR(static_cast<double>(inside), 80000.0, 2000.0);
   EXPECT_NEAR(static_cast<double>(outside), 80000.0, 2000.0);
+}
+
+// Reference Lewis-Shedler thinning straight from the header's contract:
+// one exponential gap at the envelope rate and one uniform per candidate,
+// accepted against ArrivalRateAt. Next() must return the same times, bit
+// for bit, for `count` arrivals. Returns the last arrival time.
+double ExpectMatchesReferenceThinning(const ArrivalConfig& config,
+                                      uint64_t seed, int count) {
+  ArrivalGenerator generator(config, Rng(seed));
+  Rng rng(seed);
+  const double peak = generator.PeakRate();
+  double t = 0.0;
+  for (int i = 0; i < count; ++i) {
+    for (;;) {
+      t += rng.NextExponential(1.0 / peak);
+      const double accept = rng.NextDouble();
+      if (accept * peak < ArrivalRateAt(config, t)) {
+        break;
+      }
+    }
+    const double next = generator.Next();
+    if (next != t) {
+      ADD_FAILURE() << "arrival " << i << ": Next() " << next
+                    << " != reference " << t;
+      break;
+    }
+  }
+  return t;
+}
+
+TEST(ArrivalGeneratorTest, NextEqualsReferenceThinningForEveryShape) {
+  constexpr int kArrivals = 1000000;
+  ArrivalConfig poisson;
+  poisson.kind = ArrivalKind::kPoisson;
+  poisson.base_rate_rps = 1000.0;
+  ExpectMatchesReferenceThinning(poisson, 1, kArrivals);
+
+  ArrivalConfig diurnal;
+  diurnal.kind = ArrivalKind::kDiurnal;
+  diurnal.base_rate_rps = 1000.0;
+  diurnal.diurnal_period_sec = 60.0;
+  diurnal.diurnal_amplitude = 0.9;
+  ExpectMatchesReferenceThinning(diurnal, 2, kArrivals);
+
+  // The serve scenario's cycle: its 30 s length and every multiple are
+  // exact, so the cycle tracker's subtraction path does the work.
+  ArrivalConfig burst;
+  burst.kind = ArrivalKind::kBurst;
+  burst.base_rate_rps = 1000.0;
+  burst.burst_phases = {{5.0, 1.0}, {15.0, 2.4}, {10.0, 1.0}};
+  ExpectMatchesReferenceThinning(burst, 3, kArrivals);
+
+  ArrivalConfig flash;
+  flash.kind = ArrivalKind::kFlashCrowd;
+  flash.base_rate_rps = 1000.0;
+  flash.flash_start_sec = 200.0;
+  flash.flash_duration_sec = 300.0;
+  flash.flash_multiplier = 5.0;
+  ExpectMatchesReferenceThinning(flash, 4, kArrivals);
+}
+
+TEST(ArrivalGeneratorTest, BurstMatchesReferenceOnInexactAndLongCycles) {
+  constexpr int kArrivals = 1000000;
+  // 0.1 + 0.2 + 0.3 sums to 0.6000000000000001: most multiples of the
+  // cycle are not exact products, so the fmod fallback runs.
+  ArrivalConfig inexact;
+  inexact.kind = ArrivalKind::kBurst;
+  inexact.base_rate_rps = 1000.0;
+  inexact.burst_phases = {{0.1, 1.0}, {0.2, 3.0}, {0.3, 0.5}};
+  ExpectMatchesReferenceThinning(inexact, 5, kArrivals);
+
+  // Below one arrival per second the runs pass t = 1e6 s, where a cycle
+  // offset is a small difference of large times; one cycle is inexact,
+  // the other exact.
+  ArrivalConfig slow_inexact = inexact;
+  slow_inexact.base_rate_rps = 0.5;
+  ArrivalConfig slow_exact;
+  slow_exact.kind = ArrivalKind::kBurst;
+  slow_exact.base_rate_rps = 0.5;
+  slow_exact.burst_phases = {{2.0, 1.0}, {3.0, 2.0}};
+  EXPECT_GT(ExpectMatchesReferenceThinning(slow_inexact, 6, kArrivals), 1e6);
+  EXPECT_GT(ExpectMatchesReferenceThinning(slow_exact, 7, kArrivals), 1e6);
+}
+
+TEST(ArrivalGeneratorDeathTest, AllZeroBurstCycleIsRejected) {
+  // Every candidate would be thinned away: Next() could never return.
+  ArrivalConfig config;
+  config.kind = ArrivalKind::kBurst;
+  config.base_rate_rps = 100.0;
+  config.burst_phases = {{1.0, 0.0}, {2.0, 0.0}};
+  EXPECT_DEATH(ArrivalGenerator(config, Rng(1)), "rate_multiplier");
 }
 
 TEST(ArrivalRateAtTest, FlashCrowdStepsExactlyAtWindowBoundaries) {

@@ -11,10 +11,13 @@
 namespace copart {
 namespace {
 
+// Request conservation, plus the cumulative sketch holding exactly one
+// sample per completion at every epoch boundary.
 void ExpectConservation(const LcServer& server) {
   EXPECT_EQ(server.total_arrivals(), server.total_completions() +
                                          server.total_drops() +
                                          server.queue_depth());
+  EXPECT_EQ(server.cumulative_latency().count(), server.total_completions());
 }
 
 TEST(LcServerTest, ConservationHoldsInSteadyState) {
@@ -50,6 +53,58 @@ TEST(LcServerTest, ConservationHoldsUnderOverloadWithDrops) {
   EXPECT_LE(server.queue_depth(), 64u);
   // The overloaded queue's sojourn times pile up near the high buckets.
   EXPECT_GT(server.cumulative_latency().Quantile(0.95), 1e-4);
+}
+
+TEST(LcServerTest, NonPowerOfTwoQueueWrapsWithConservation) {
+  // Five slots at rho ~0.75: the ring's head wraps tens of thousands of
+  // times and the tail drops whenever a burst outruns it.
+  LcServerConfig config;
+  config.arrival.base_rate_rps = 15000.0;
+  config.queue_capacity = 5;
+  LcServer server(config, Rng(11));
+  for (int epoch = 0; epoch < 100; ++epoch) {
+    server.AdvanceEpoch(0.1, 1.2e9);  // mu = 20 krps.
+    ExpectConservation(server);
+    ASSERT_LE(server.queue_depth(), 5u);
+  }
+  EXPECT_GT(server.total_completions(), 5u * 10000u);
+  EXPECT_GT(server.total_drops(), 0u);
+}
+
+TEST(LcServerTest, BurstRunCumulativeTailIsPinned) {
+  // A 1x/4x burst against mu = 5 krps: the 8 krps phase overloads the
+  // 128-slot queue and drops, then a 101 s stall pushes the queued
+  // requests' sojourn past the sketch's 100 s top edge before service
+  // resumes. Seed-pinned bucket indices and counts: any change to the
+  // event loop, the arrival stream or the bucket lookup shows here.
+  LcServerConfig config;
+  config.arrival.kind = ArrivalKind::kBurst;
+  config.arrival.base_rate_rps = 2000.0;
+  config.arrival.burst_phases = {{1.0, 1.0}, {1.0, 4.0}};
+  config.queue_capacity = 128;
+  LcServer server(config, Rng(2019));
+  for (int epoch = 0; epoch < 2410; ++epoch) {
+    const bool stalled = epoch >= 200 && epoch < 1210;
+    server.AdvanceEpoch(0.1, stalled ? 0.0 : 0.3e9);
+    ExpectConservation(server);
+  }
+  const LatencySketch& sketch = server.cumulative_latency();
+  auto bucket_of = [](double quantile) {
+    for (int i = 0; i < LatencySketch::kNumBuckets; ++i) {
+      if (LatencySketch::BucketUpperEdge(i) == quantile) {
+        return i;
+      }
+    }
+    return -1;
+  };
+  EXPECT_EQ(server.total_arrivals(), 1203242u);
+  EXPECT_EQ(server.total_completions(), 499842u);
+  EXPECT_EQ(server.total_drops(), 703399u);
+  EXPECT_EQ(server.queue_depth(), 1u);
+  EXPECT_EQ(bucket_of(sketch.Quantile(0.50)), 141);
+  EXPECT_EQ(bucket_of(sketch.Quantile(0.95)), 143);
+  EXPECT_EQ(bucket_of(sketch.Quantile(0.99)), 144);
+  EXPECT_EQ(sketch.overflow(), 128u);
 }
 
 TEST(LcServerTest, ZeroCapabilityStallsServiceButQueuesArrivals) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,6 +36,82 @@ TEST(LatencySketchTest, BucketEdgesAreMonotone) {
   // 8 decades above 1 us: the table tops out at 100 s.
   EXPECT_NEAR(LatencySketch::BucketUpperEdge(LatencySketch::kNumBuckets - 1),
               100.0, 1e-6);
+}
+
+// Reference bucket index: the clamp of the sketch's contract plus a binary
+// search over the public edges (the first edge strictly above the value).
+int ReferenceBucketIndex(double latency_sec) {
+  static const std::vector<double> edges = [] {
+    std::vector<double> table;
+    for (int i = 0; i < LatencySketch::kNumBuckets - 1; ++i) {
+      table.push_back(LatencySketch::BucketUpperEdge(i));
+    }
+    return table;
+  }();
+  const double value = latency_sec > 0.0 ? latency_sec : 0.0;
+  if (value < edges.front()) {
+    return 0;
+  }
+  if (value >= edges.back()) {
+    return LatencySketch::kNumBuckets - 1;
+  }
+  return static_cast<int>(
+      std::upper_bound(edges.begin(), edges.end(), value) - edges.begin());
+}
+
+// Records `value` alone and checks that it landed in the reference bucket:
+// Quantile(1.0) names the bucket's upper edge, and overflow() tells the
+// overflow bucket apart from the last in-range one (they share an edge).
+::testing::AssertionResult SameBucketAsReference(LatencySketch& sketch,
+                                                 double value) {
+  sketch.Clear();
+  sketch.Record(value);
+  const int expected = ReferenceBucketIndex(value);
+  const bool expect_overflow = expected == LatencySketch::kNumBuckets - 1;
+  if (sketch.Quantile(1.0) != LatencySketch::BucketUpperEdge(expected) ||
+      (sketch.overflow() == 1u) != expect_overflow) {
+    return ::testing::AssertionFailure()
+           << "value " << value << ": expected bucket " << expected
+           << ", got Quantile(1.0) " << sketch.Quantile(1.0)
+           << " overflow " << sketch.overflow();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(LatencySketchTest, BucketIndexMatchesBinarySearchAtEveryEdge) {
+  LatencySketch sketch;
+  for (int i = 0; i < LatencySketch::kNumBuckets - 1; ++i) {
+    const double edge = LatencySketch::BucketUpperEdge(i);
+    ASSERT_TRUE(SameBucketAsReference(sketch, edge));
+    ASSERT_TRUE(SameBucketAsReference(sketch, std::nextafter(edge, 0.0)));
+    ASSERT_TRUE(SameBucketAsReference(
+        sketch,
+        std::nextafter(edge, std::numeric_limits<double>::infinity())));
+  }
+}
+
+TEST(LatencySketchTest, BucketIndexMatchesBinarySearchOnSpecialValues) {
+  using limits = std::numeric_limits<double>;
+  LatencySketch sketch;
+  for (double value :
+       {0.0, -0.0, -1.0, -1e-300, -limits::infinity(), limits::quiet_NaN(),
+        -limits::quiet_NaN(), limits::denorm_min(), 2.2e-310,
+        limits::min(), 1e-7, 1e300, limits::max(), limits::infinity()}) {
+    EXPECT_TRUE(SameBucketAsReference(sketch, value));
+  }
+}
+
+TEST(LatencySketchTest, BucketIndexMatchesBinarySearchOnLogUniformValues) {
+  // Log-uniform over [1e-8, 1e3]: every octave of the table, plus a margin
+  // of underflow and overflow on either side.
+  Rng rng(2024);
+  LatencySketch sketch;
+  const double lo = std::log(1e-8);
+  const double hi = std::log(1e3);
+  for (int i = 0; i < 1000000; ++i) {
+    ASSERT_TRUE(SameBucketAsReference(
+        sketch, std::exp(lo + (hi - lo) * rng.NextDouble())));
+  }
 }
 
 TEST(LatencySketchTest, QuantilesMatchExactPercentilesWithinBucketRatio) {

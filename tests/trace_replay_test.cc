@@ -268,6 +268,28 @@ TEST(TraceReplayTest, RejectsBadArrivalKindAndRanges) {
   EXPECT_FALSE(ParseTraceReplay(kBadRate).ok());
 }
 
+TEST(TraceReplayTest, RejectsBurstWithEveryRateMultiplierZero) {
+  // A cycle with no positive rate offers no arrivals at all; a generator
+  // built from it could never return one.
+  const char kDoc[] = R"({
+    "schema": "copart-trace-v1",
+    "name": "x",
+    "reuse": {"components": [{"weight": 0.5, "working_set_bytes": 1048576}]},
+    "cpu": {"accesses_per_instr": 0.01, "cpi_exec": 1.0},
+    "serve": {
+      "instructions_per_request": 1000.0, "slo_p95_ms": 1.0,
+      "arrival": {"kind": "burst", "base_rate_rps": 100,
+                  "burst_phases": [{"duration_sec": 1,
+                                    "rate_multiplier": 0}]}
+    }
+  })";
+  Result<TraceReplay> replay = ParseTraceReplay(kDoc);
+  ASSERT_FALSE(replay.ok());
+  EXPECT_NE(replay.status().message().find("$.serve.arrival.burst_phases"),
+            std::string::npos)
+      << replay.status().ToString();
+}
+
 TEST(TraceReplayTest, RejectsNonPositivePhaseDuration) {
   const char kDoc[] = R"({
     "schema": "copart-trace-v1",

@@ -2,25 +2,19 @@
 // + harness/fleet): node-ticks/sec of the parallel fleet control loop, and
 // the deterministic outcome of the canonical robustness scenario — fleet
 // p99 slowdown, migration/rollback counts, and crash-wave recovery time.
-// Emits a machine-readable BENCH_fleet.json (committed at the repo root as
-// the baseline); tools/run_perf_smoke.sh band-gates the throughput point
-// (>20% regression fails) and EXACT-gates the outcome points: they are
-// pure functions of the seed, so any drift is a behavior change that must
-// be a deliberate baseline refresh, not noise.
+// Writes BENCH_fleet.json (committed at the repo root as the baseline):
+// tools/bench_gate band-gates the throughput point (>20% regression fails)
+// and EXACT-gates the outcome points: they are pure functions of the seed,
+// so any drift is a behavior change that must be a deliberate baseline
+// refresh, not noise.
 //
-// Flags:
-//   --json=PATH         where to write the JSON report
-//                       (default BENCH_fleet.json in the CWD — run from
-//                       the repo root to refresh the baseline)
-//   --min-seconds=S     measurement time for the throughput point
-//                       (default 0.25)
+// Flags: --json=PATH, --min-seconds=S (measurement time for the throughput
+// point; see BenchReport::ParseFlags).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 #include "cluster/fleet.h"
+#include "common/json_writer.h"
 #include "harness/fleet.h"
 #include "workload/workload.h"
 
@@ -79,8 +73,9 @@ double MeasureNodeTicksPerSec(double min_seconds) {
   return static_cast<double>(fleet.node_ticks() - warm) / elapsed;
 }
 
-int Run(const std::string& json_path, double min_seconds) {
-  const double node_ticks_per_sec = MeasureNodeTicksPerSec(min_seconds);
+int Run(BenchReport& report) {
+  const double node_ticks_per_sec =
+      MeasureNodeTicksPerSec(report.min_seconds());
   std::printf("fleet: node_ticks_per_sec=%.0f\n", node_ticks_per_sec);
 
   const FleetScenarioResult r = RunFleetScenario(CanonicalScenario());
@@ -99,59 +94,28 @@ int Run(const std::string& json_path, double min_seconds) {
     return 1;
   }
 
-  // One result object per line so the smoke script can grep/sed it without
-  // a JSON parser (same convention as bench_sim_throughput).
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"fleet\",\n");
-  std::fprintf(out, "  \"results\": [\n");
-  std::fprintf(out,
-               "    {\"point\": \"fleet_node_ticks_per_sec\", "
-               "\"value\": %.1f},\n",
-               node_ticks_per_sec);
-  std::fprintf(out,
-               "    {\"point\": \"fleet_p99_slowdown\", \"value\": %.4f},\n",
-               r.fleet_p99_slowdown);
-  std::fprintf(out,
-               "    {\"point\": \"fleet_migrations\", \"value\": %llu},\n",
-               static_cast<unsigned long long>(
-                   r.counters.migrations_completed));
-  std::fprintf(
-      out, "    {\"point\": \"fleet_migration_rollbacks\", \"value\": %llu},\n",
-      static_cast<unsigned long long>(r.counters.migration_rollbacks));
-  std::fprintf(out,
-               "    {\"point\": \"fleet_recovery_epochs\", \"value\": %d}\n",
-               r.recovery_epochs);
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("fleet: wrote %s\n", json_path.c_str());
-  return 0;
+  report.Add("fleet_node_ticks_per_sec", node_ticks_per_sec, 1,
+             "node_ticks/s", BenchGate::kBand);
+  report.Add("fleet_p99_slowdown", r.fleet_p99_slowdown, 4, "ratio",
+             BenchGate::kExact);
+  report.Add("fleet_migrations",
+             static_cast<double>(r.counters.migrations_completed), 0, "count",
+             BenchGate::kExact);
+  report.Add("fleet_migration_rollbacks",
+             static_cast<double>(r.counters.migration_rollbacks), 0, "count",
+             BenchGate::kExact);
+  report.Add("fleet_recovery_epochs", r.recovery_epochs, 0, "epochs",
+             BenchGate::kExact);
+  return report.Write();
 }
 
 }  // namespace
 }  // namespace copart
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_fleet.json";
-  double min_seconds = 0.25;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--json=", 7) == 0) {
-      json_path = arg + 7;
-    } else if (std::strncmp(arg, "--min-seconds=", 14) == 0) {
-      min_seconds = std::atof(arg + 14);
-      if (min_seconds <= 0.0) {
-        std::fprintf(stderr, "invalid --min-seconds\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "usage: %s [--json=PATH] [--min-seconds=S]\n",
-                   argv[0]);
-      return 2;
-    }
+  copart::BenchReport report("fleet");
+  if (!report.ParseFlags(argc, argv)) {
+    return 2;
   }
-  return copart::Run(json_path, min_seconds);
+  return copart::Run(report);
 }

@@ -1,26 +1,21 @@
 // Throughput of the pluggable SLO governors (src/slo, DESIGN.md §15):
 // epochs/sec of the full SLO-mode serve loop — machine epoch, LC queue
 // service, governor re-plan, outcome feedback, CoPart tick — once per
-// registered governor under the same steady Poisson scenario. Emits a
-// machine-readable BENCH_governor.json (committed at the repo root as the
-// baseline); tools/run_perf_smoke.sh fails CI when any per-governor point
-// regresses >20% against it, and separately gates the learned governors'
-// managed-loop overhead versus the threshold loop at <10% — the learned
-// bookkeeping (MPC correction cells, bandit arm tables) must stay a
-// rounding error next to the epoch solve itself.
+// registered governor under the same steady Poisson scenario. Writes
+// BENCH_governor.json (committed at the repo root as the baseline):
+// tools/bench_gate band-gates every per-governor point (>20% regression
+// fails) and holds learned_overhead_pct — the learned governors'
+// managed-loop overhead versus the threshold loop — under its 10% limit:
+// the learned bookkeeping (MPC correction cells, bandit arm tables) must
+// stay a rounding error next to the epoch solve itself.
 //
-// Flags:
-//   --json=PATH         where to write the JSON report
-//                       (default BENCH_governor.json in the CWD — run from
-//                       the repo root to refresh the baseline)
-//   --min-seconds=S     measurement time per data point (default 0.25)
+// Flags: --json=PATH, --min-seconds=S (see BenchReport::ParseFlags).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/json_writer.h"
 #include "common/logging.h"
 #include "harness/serve.h"
 #include "slo/slo_governor.h"
@@ -61,14 +56,15 @@ double MeasureGovernorEpochsPerSec(const std::string& governor,
   return static_cast<double>(epochs) / elapsed;
 }
 
-int Run(const std::string& json_path, double min_seconds) {
+int Run(BenchReport& report) {
   const std::vector<std::string> governors = RegisteredSloGovernorNames();
   CHECK(!governors.empty());
 
   std::vector<double> epochs_per_sec;
   double threshold_eps = 0.0;
   for (const std::string& governor : governors) {
-    const double eps = MeasureGovernorEpochsPerSec(governor, min_seconds);
+    const double eps =
+        MeasureGovernorEpochsPerSec(governor, report.min_seconds());
     std::printf("governor: %s_epochs_per_sec=%.0f\n", governor.c_str(), eps);
     epochs_per_sec.push_back(eps);
     if (governor == "threshold") {
@@ -91,50 +87,22 @@ int Run(const std::string& json_path, double min_seconds) {
   }
   std::printf("governor: learned_overhead_pct=%.2f\n", worst_overhead_pct);
 
-  // One result object per line so the smoke script can grep/awk it without
-  // a JSON parser (same convention as bench_serve).
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"governor\",\n");
-  std::fprintf(out, "  \"learned_overhead_pct\": %.2f,\n",
-               worst_overhead_pct);
-  std::fprintf(out, "  \"results\": [\n");
+  report.Add("learned_overhead_pct", worst_overhead_pct, 2, "%",
+             BenchGate::kMax, 10.0);
   for (size_t i = 0; i < governors.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"point\": \"%s_epochs_per_sec\", \"value\": %.1f}%s\n",
-                 governors[i].c_str(), epochs_per_sec[i],
-                 i + 1 == governors.size() ? "" : ",");
+    report.Add(governors[i] + "_epochs_per_sec", epochs_per_sec[i], 1,
+               "epochs/s", BenchGate::kBand);
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("governor: wrote %s\n", json_path.c_str());
-  return 0;
+  return report.Write();
 }
 
 }  // namespace
 }  // namespace copart
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_governor.json";
-  double min_seconds = 0.25;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--json=", 7) == 0) {
-      json_path = arg + 7;
-    } else if (std::strncmp(arg, "--min-seconds=", 14) == 0) {
-      min_seconds = std::atof(arg + 14);
-      if (min_seconds <= 0.0) {
-        std::fprintf(stderr, "invalid --min-seconds\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "usage: %s [--json=PATH] [--min-seconds=S]\n",
-                   argv[0]);
-      return 2;
-    }
+  copart::BenchReport report("governor");
+  if (!report.ParseFlags(argc, argv)) {
+    return 2;
   }
-  return copart::Run(json_path, min_seconds);
+  return copart::Run(report);
 }

@@ -2,21 +2,15 @@
 // control loop): how many requests/sec the discrete-event engine can
 // simulate, and epochs/sec of the full serve scenario — machine epoch,
 // LC queue service, governor re-plan, CoPart tick — with SLO mode on.
-// Emits a machine-readable BENCH_serve.json (committed at the repo root as
-// the baseline); tools/run_perf_smoke.sh fails CI when either point
-// regresses >20% against it.
+// Writes BENCH_serve.json (committed at the repo root as the baseline);
+// both points are band-gated by tools/bench_gate, so either regressing
+// >20% fails tools/run_perf_smoke.sh.
 //
-// Flags:
-//   --json=PATH         where to write the JSON report
-//                       (default BENCH_serve.json in the CWD — run from
-//                       the repo root to refresh the baseline)
-//   --min-seconds=S     measurement time per data point (default 0.25)
+// Flags: --json=PATH, --min-seconds=S (see BenchReport::ParseFlags).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
+#include "common/json_writer.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "harness/serve.h"
@@ -84,56 +78,26 @@ double MeasureSloEpochsPerSec(double min_seconds) {
   return static_cast<double>(epochs) / elapsed;
 }
 
-int Run(const std::string& json_path, double min_seconds) {
-  const double requests_per_sec = MeasureRequestsPerSec(min_seconds);
+int Run(BenchReport& report) {
+  const double requests_per_sec = MeasureRequestsPerSec(report.min_seconds());
   std::printf("serve: engine_requests_per_sec=%.0f\n", requests_per_sec);
-  const double slo_epochs_per_sec = MeasureSloEpochsPerSec(min_seconds);
+  const double slo_epochs_per_sec =
+      MeasureSloEpochsPerSec(report.min_seconds());
   std::printf("serve: slo_loop_epochs_per_sec=%.0f\n", slo_epochs_per_sec);
-
-  // One result object per line so the smoke script can grep/awk it without
-  // a JSON parser (same convention as bench_sim_throughput).
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"serve\",\n");
-  std::fprintf(out, "  \"results\": [\n");
-  std::fprintf(out,
-               "    {\"point\": \"engine_requests_per_sec\", "
-               "\"value\": %.1f},\n",
-               requests_per_sec);
-  std::fprintf(out,
-               "    {\"point\": \"slo_loop_epochs_per_sec\", "
-               "\"value\": %.1f}\n",
-               slo_epochs_per_sec);
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("serve: wrote %s\n", json_path.c_str());
-  return 0;
+  report.Add("engine_requests_per_sec", requests_per_sec, 1, "requests/s",
+             BenchGate::kBand);
+  report.Add("slo_loop_epochs_per_sec", slo_epochs_per_sec, 1, "epochs/s",
+             BenchGate::kBand);
+  return report.Write();
 }
 
 }  // namespace
 }  // namespace copart
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_serve.json";
-  double min_seconds = 0.25;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--json=", 7) == 0) {
-      json_path = arg + 7;
-    } else if (std::strncmp(arg, "--min-seconds=", 14) == 0) {
-      min_seconds = std::atof(arg + 14);
-      if (min_seconds <= 0.0) {
-        std::fprintf(stderr, "invalid --min-seconds\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "usage: %s [--json=PATH] [--min-seconds=S]\n",
-                   argv[0]);
-      return 2;
-    }
+  copart::BenchReport report("serve");
+  if (!report.ParseFlags(argc, argv)) {
+    return 2;
   }
-  return copart::Run(json_path, min_seconds);
+  return copart::Run(report);
 }

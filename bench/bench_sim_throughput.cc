@@ -2,19 +2,19 @@
 // model in exact vs compiled MRC modes, plus microbenchmarks of the two
 // MissRatio paths and the what-if evaluator. Every sweep in this repository
 // is built out of these epochs, so this binary is the first point of the
-// perf trajectory: it emits a machine-readable BENCH_sim_throughput.json
-// (committed at the repo root as the baseline) and tools/run_perf_smoke.sh
-// fails CI when epochs/sec regresses >20% against it.
+// perf trajectory: it writes BENCH_sim_throughput.json (committed at the
+// repo root as the baseline), and each point declares the gate
+// tools/bench_gate holds fresh runs to — a 20% band on every epochs/sec
+// point, ceilings on the overhead ratios, floors on the managed loop and
+// the what-if speedup.
 //
-// Flags:
+// Flags (--json/--min-seconds as in BenchReport::ParseFlags):
 //   --json=PATH         where to write the JSON report
-//                       (default BENCH_sim_throughput.json in the CWD —
-//                       run from the repo root to refresh the baseline)
 //   --min-seconds=S     measurement time per data point (default 0.25)
 //   --fault-injector    attach a FaultInjector with no points armed — pins
 //                       the "compiled in but disabled" cost of the fault
-//                       substrate (tools/run_perf_smoke.sh runs this mode
-//                       against the same 20%% regression gate)
+//                       substrate (tools/run_perf_smoke.sh gates this mode
+//                       against the same baseline)
 //   --scalar-check      no measurement: lockstep-run the vectorized,
 //                       scalar and incremental epoch kernels over a seeded
 //                       mutation schedule (mask/MBA/CLOS/required flips,
@@ -25,8 +25,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,11 +55,13 @@ const char* ModeName(MrcMode mode) {
   return mode == MrcMode::kExact ? "exact" : "compiled";
 }
 
-struct ThroughputPoint {
-  const char* mode;
-  size_t num_apps;
-  double epochs_per_sec;
-};
+// An epochs/sec point of `apps` apps under `mode`: a 20% band, plus an
+// absolute `floor` when given.
+void AddEpochsPoint(BenchReport& report, const std::string& mode, size_t apps,
+                    double eps, std::optional<double> floor = std::nullopt) {
+  report.Add(mode + "_" + std::to_string(apps) + "apps", eps, 1, "epochs/s",
+             BenchGate::kBand, floor);
+}
 
 // Epochs/sec of a consolidated machine: `num_apps` Table 2 apps, each in
 // its own CLOS with the default full mask, so the shared-capacity fixed
@@ -102,8 +104,8 @@ double MeasureEpochsPerSec(MrcMode mode, size_t num_apps, double min_seconds,
 // Epochs/sec of the full managed control loop: machine + resctrl + PMC +
 // resource manager, ticked every epoch. `obs` is forwarded to the manager,
 // so the same measurement pins both the no-observability baseline and the
-// attached-but-disabled configuration (tools/run_perf_smoke.sh holds their
-// ratio under 2% — the "zero measurable cost when off" gate).
+// attached-but-disabled configuration (their ratio's limit is 2% — the
+// "zero measurable cost when off" gate).
 double MeasureManagedEpochsPerSec(size_t num_apps, double min_seconds,
                                   Observability* obs,
                                   const PmcSensingParams* sensing,
@@ -437,17 +439,19 @@ int RunScalarCheck() {
   return 0;
 }
 
-int Run(const std::string& json_path, double min_seconds,
-        bool with_injector) {
+int Run(BenchReport& report) {
+  const double min_seconds = report.min_seconds();
   // Armed with nothing, the injector must be free on the epoch path; the
-  // smoke script compares this configuration against the same baseline.
+  // smoke script gates this configuration against the same baseline.
   FaultInjector injector;
-  FaultInjector* injector_ptr = with_injector ? &injector : nullptr;
-  if (with_injector) {
+  FaultInjector* injector_ptr =
+      report.Has("--fault-injector") ? &injector : nullptr;
+  if (injector_ptr != nullptr) {
     std::printf("sim_throughput: fault injector attached (no points armed)\n");
   }
   const std::vector<size_t> app_counts = {2, 4, 6};
-  std::vector<ThroughputPoint> points;
+  double exact_eps = 0.0;
+  double compiled_eps = 0.0;
   for (const MrcMode mode : {MrcMode::kExact, MrcMode::kCompiled}) {
     for (const size_t num_apps : app_counts) {
       // Best-of-3: a co-tenant burst on a small CI host can halve a single
@@ -460,9 +464,13 @@ int Run(const std::string& json_path, double min_seconds,
             eps, MeasureEpochsPerSec(mode, num_apps, min_seconds,
                                      injector_ptr, /*incremental=*/false));
       }
-      points.push_back({ModeName(mode), num_apps, eps});
+      AddEpochsPoint(report, ModeName(mode), num_apps, eps);
       std::printf("sim_throughput: mode=%s apps=%zu epochs_per_sec=%.0f\n",
                   ModeName(mode), num_apps, eps);
+      // Speedup at the heaviest consolidation (the sweep-relevant regime).
+      if (num_apps == app_counts.back()) {
+        (mode == MrcMode::kExact ? exact_eps : compiled_eps) = eps;
+      }
     }
   }
   // The machine-only fast path: steady-state epochs replaying the cached
@@ -474,7 +482,7 @@ int Run(const std::string& json_path, double min_seconds,
                                               min_seconds, injector_ptr,
                                               /*incremental=*/true));
     }
-    points.push_back({"compiled_incremental", 4, eps});
+    AddEpochsPoint(report, "compiled_incremental", 4, eps);
     std::printf(
         "sim_throughput: mode=compiled_incremental apps=4 "
         "epochs_per_sec=%.0f\n",
@@ -489,7 +497,7 @@ int Run(const std::string& json_path, double min_seconds,
   // Managed control loop in six configurations:
   //   managed          — the default config (incremental fast path on), no
   //                      observability, no sensing: the gated headline,
-  //                      also held to an absolute floor by the smoke script;
+  //                      also held to an absolute 3.2M epochs/s floor;
   //   managed_incremental
   //                    — incremental explicitly on; pins the fast-path
   //                      configuration even if defaults ever change;
@@ -503,16 +511,16 @@ int Run(const std::string& json_path, double min_seconds,
   //   obs-disabled     — full solve + an Observability bundle attached but
   //                      disabled, so its entire cost must be the
   //                      null/enabled checks at the instrumented sites
-  //                      (smoke gate: < 2%);
+  //                      (limit: < 2%);
   //   sensing          — full solve + the estimator on the sample path at
   //                      the default sampling budget, noise model off
-  //                      (smoke gate: < 10%);
+  //                      (limit: < 10%);
   //   sensing-noisy    — full sensing realism (estimator + lognormal
   //                      counter noise + jitter + stale repeats).
   //                      Informational, not gated.
   // Rounds are INTERLEAVED across the configurations and every overhead is
   // a PAIRED ratio against the same round's base run, reported as the
-  // minimum over rounds: the smoke script gates the ratios, and on a small
+  // minimum over rounds: bench_gate gates the ratios, and on a small
   // CI host another process's burst can depress any single measurement
   // window by 10%+ — but it cannot depress every round, while a real
   // hot-path regression shows up in all of them. Epochs/sec points are
@@ -630,99 +638,48 @@ int Run(const std::string& json_path, double min_seconds,
       "snapshot_evals_per_sec=%.0f speedup=%.2f\n",
       whatif_fresh, whatif_snapshot, whatif_speedup);
 
-  // Speedup at the heaviest consolidation (the sweep-relevant regime).
-  double exact_eps = 0.0;
-  double compiled_eps = 0.0;
-  for (const ThroughputPoint& point : points) {
-    if (point.num_apps == app_counts.back()) {
-      if (std::strcmp(point.mode, "exact") == 0) {
-        exact_eps = point.epochs_per_sec;
-      } else if (std::strcmp(point.mode, "compiled") == 0) {
-        compiled_eps = point.epochs_per_sec;
-      }
-    }
-  }
   const double speedup = exact_eps > 0.0 ? compiled_eps / exact_eps : 0.0;
   std::printf("sim_throughput: speedup_compiled_over_exact=%.2f\n", speedup);
 
-  // One result object per line so the smoke script can grep/sed it without
-  // a JSON parser.
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  JsonWriter writer(out);
-  writer.BeginObject();
-  writer.String("bench", "sim_throughput");
-  writer.BeginArray("results");
-  auto result_point = [&writer](const char* mode, size_t apps, double eps) {
-    writer.BeginInlineObject();
-    writer.String("mode", mode);
-    writer.Uint("apps", apps);
-    writer.Double("epochs_per_sec", eps, 1);
-    writer.EndInlineObject();
-  };
-  for (const ThroughputPoint& point : points) {
-    result_point(point.mode, point.num_apps, point.epochs_per_sec);
-  }
-  result_point("managed", managed_apps, managed_eps);
-  result_point("managed_incremental", managed_apps, incremental_eps);
-  result_point("managed_clustered", managed_apps, clustered_eps);
-  result_point("managed_full_solve", managed_apps, full_solve_eps);
-  result_point("managed_sensing", managed_apps, sensing_eps);
-  result_point("managed_sensing_noisy", managed_apps, noisy_eps);
-  writer.EndArray();
-  writer.BeginInlineObject("miss_ratio_query_ns");
-  writer.Double("exact", exact_ns, 1);
-  writer.Double("compiled", compiled_ns, 1);
-  writer.EndInlineObject();
-  writer.Double("obs_disabled_overhead_pct", obs_overhead_pct, 2);
-  writer.Double("sensing_overhead_pct", sensing_overhead_pct, 2);
-  writer.Double("sensing_noisy_overhead_pct", noisy_overhead_pct, 2);
-  writer.Double("managed_incremental_speedup", incremental_speedup, 2);
-  writer.Double("whatif_fresh_evals_per_sec", whatif_fresh, 1);
-  writer.Double("whatif_snapshot_evals_per_sec", whatif_snapshot, 1);
-  writer.Double("whatif_snapshot_speedup", whatif_speedup, 2);
-  writer.Double("speedup_compiled_over_exact", speedup, 2);
-  writer.EndDocument();
-  std::fclose(out);
-  std::printf("sim_throughput: wrote %s\n", json_path.c_str());
-  return 0;
+  AddEpochsPoint(report, "managed", managed_apps, managed_eps, 3200000.0);
+  AddEpochsPoint(report, "managed_incremental", managed_apps,
+                 incremental_eps);
+  AddEpochsPoint(report, "managed_clustered", managed_apps, clustered_eps);
+  AddEpochsPoint(report, "managed_full_solve", managed_apps, full_solve_eps);
+  AddEpochsPoint(report, "managed_sensing", managed_apps, sensing_eps);
+  AddEpochsPoint(report, "managed_sensing_noisy", managed_apps, noisy_eps);
+  report.Add("miss_ratio_query_ns.exact", exact_ns, 1, "ns", BenchGate::kNone);
+  report.Add("miss_ratio_query_ns.compiled", compiled_ns, 1, "ns",
+             BenchGate::kNone);
+  report.Add("obs_disabled_overhead_pct", obs_overhead_pct, 2, "%",
+             BenchGate::kMax, 2.0);
+  report.Add("sensing_overhead_pct", sensing_overhead_pct, 2, "%",
+             BenchGate::kMax, 10.0);
+  report.Add("sensing_noisy_overhead_pct", noisy_overhead_pct, 2, "%",
+             BenchGate::kNone);
+  report.Add("managed_incremental_speedup", incremental_speedup, 2, "x",
+             BenchGate::kNone);
+  report.Add("whatif_fresh_evals_per_sec", whatif_fresh, 1, "evals/s",
+             BenchGate::kNone);
+  report.Add("whatif_snapshot_evals_per_sec", whatif_snapshot, 1, "evals/s",
+             BenchGate::kNone);
+  report.Add("whatif_snapshot_speedup", whatif_speedup, 2, "x",
+             BenchGate::kMin, 10.0);
+  report.Add("speedup_compiled_over_exact", speedup, 2, "x",
+             BenchGate::kNone);
+  return report.Write();
 }
 
 }  // namespace
 }  // namespace copart
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_sim_throughput.json";
-  double min_seconds = 0.25;
-  bool with_injector = false;
-  bool scalar_check = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--json=", 7) == 0) {
-      json_path = arg + 7;
-    } else if (std::strncmp(arg, "--min-seconds=", 14) == 0) {
-      min_seconds = std::atof(arg + 14);
-      if (min_seconds <= 0.0) {
-        std::fprintf(stderr, "invalid --min-seconds\n");
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--fault-injector") == 0) {
-      with_injector = true;
-    } else if (std::strcmp(arg, "--scalar-check") == 0) {
-      scalar_check = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json=PATH] [--min-seconds=S] "
-                   "[--fault-injector] [--scalar-check]\n",
-                   argv[0]);
-      return 2;
-    }
+  copart::BenchReport report("sim_throughput");
+  if (!report.ParseFlags(argc, argv, {"--fault-injector", "--scalar-check"})) {
+    return 2;
   }
-  if (scalar_check) {
+  if (report.Has("--scalar-check")) {
     return copart::RunScalarCheck();
   }
-  return copart::Run(json_path, min_seconds, with_injector);
+  return copart::Run(report);
 }

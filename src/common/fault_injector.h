@@ -26,8 +26,9 @@
 // default (MachineConfig::fault_injector), so the hot path pays one null
 // compare. With an injector attached but no points armed, ShouldFail()
 // returns after one counter bump and an empty-map check. The perf smoke
-// gate (tools/run_perf_smoke.sh) runs bench_sim_throughput with an
-// attached-but-disarmed injector to pin this.
+// (tools/run_perf_smoke.sh) runs bench_sim_throughput with an
+// attached-but-disarmed injector and holds that report to every gate of
+// BENCH_sim_throughput.json via tools/bench_gate to pin this.
 #ifndef COPART_COMMON_FAULT_INJECTOR_H_
 #define COPART_COMMON_FAULT_INJECTOR_H_
 

@@ -1,274 +1,14 @@
 #include "trace/trace_replay.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <memory>
-#include <sstream>
 #include <utility>
 #include <vector>
 
+#include "common/json_reader.h"
+
 namespace copart {
 namespace {
-
-// --- Minimal JSON value + recursive-descent parser ---
-//
-// Supports exactly what the schema needs: objects, arrays, numbers,
-// strings, booleans, null. Object keys keep insertion order so error
-// messages are stable.
-
-struct JsonValue;
-using JsonObject = std::vector<std::pair<std::string, JsonValue>>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::shared_ptr<JsonArray> array;
-  std::shared_ptr<JsonObject> object;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Result<JsonValue> Parse() {
-    Result<JsonValue> value = ParseValue();
-    if (!value.ok()) {
-      return value;
-    }
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing content after document");
-    }
-    return value;
-  }
-
- private:
-  Status Error(const std::string& what) const {
-    return InvalidArgumentError("JSON parse error at offset " +
-                                std::to_string(pos_) + ": " + what);
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Result<JsonValue> ParseValue() {
-    SkipWhitespace();
-    if (pos_ >= text_.size()) {
-      return Error("unexpected end of input");
-    }
-    const char c = text_[pos_];
-    switch (c) {
-      case '{':
-      case '[': {
-        // Containers recurse: cap the depth before the stack overflows.
-        if (depth_ == kTraceReplayMaxNestingDepth) {
-          return Error("nesting depth exceeds " +
-                       std::to_string(kTraceReplayMaxNestingDepth));
-        }
-        ++depth_;
-        Result<JsonValue> value = c == '{' ? ParseObject() : ParseArray();
-        --depth_;
-        return value;
-      }
-      case '"':
-        return ParseString();
-      case 't':
-      case 'f':
-        return ParseBool();
-      case 'n':
-        return ParseNull();
-      default:
-        if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-          return ParseNumber();
-        }
-        return Error(std::string("unexpected character '") + c + "'");
-    }
-  }
-
-  Result<JsonValue> ParseObject() {
-    ++pos_;  // '{'
-    JsonValue value;
-    value.kind = JsonValue::Kind::kObject;
-    value.object = std::make_shared<JsonObject>();
-    SkipWhitespace();
-    if (Consume('}')) {
-      return value;
-    }
-    for (;;) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected object key string");
-      }
-      Result<JsonValue> key = ParseString();
-      if (!key.ok()) {
-        return key;
-      }
-      for (const auto& [existing, unused] : *value.object) {
-        if (existing == key->string) {
-          return Error("duplicate key \"" + key->string + "\"");
-        }
-      }
-      if (!Consume(':')) {
-        return Error("expected ':' after key \"" + key->string + "\"");
-      }
-      Result<JsonValue> member = ParseValue();
-      if (!member.ok()) {
-        return member;
-      }
-      value.object->emplace_back(key->string, std::move(*member));
-      if (Consume(',')) {
-        continue;
-      }
-      if (Consume('}')) {
-        return value;
-      }
-      return Error("expected ',' or '}' in object");
-    }
-  }
-
-  Result<JsonValue> ParseArray() {
-    ++pos_;  // '['
-    JsonValue value;
-    value.kind = JsonValue::Kind::kArray;
-    value.array = std::make_shared<JsonArray>();
-    SkipWhitespace();
-    if (Consume(']')) {
-      return value;
-    }
-    for (;;) {
-      Result<JsonValue> element = ParseValue();
-      if (!element.ok()) {
-        return element;
-      }
-      value.array->push_back(std::move(*element));
-      if (Consume(',')) {
-        continue;
-      }
-      if (Consume(']')) {
-        return value;
-      }
-      return Error("expected ',' or ']' in array");
-    }
-  }
-
-  Result<JsonValue> ParseString() {
-    ++pos_;  // '"'
-    JsonValue value;
-    value.kind = JsonValue::Kind::kString;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return value;
-      }
-      if (c == '\\') {
-        if (pos_ + 1 >= text_.size()) {
-          return Error("unterminated escape");
-        }
-        const char escaped = text_[pos_ + 1];
-        switch (escaped) {
-          case '"':
-          case '\\':
-          case '/':
-            value.string.push_back(escaped);
-            break;
-          case 'n':
-            value.string.push_back('\n');
-            break;
-          case 't':
-            value.string.push_back('\t');
-            break;
-          case 'r':
-            value.string.push_back('\r');
-            break;
-          default:
-            return Error(std::string("unsupported escape '\\") + escaped +
-                         "'");
-        }
-        pos_ += 2;
-        continue;
-      }
-      value.string.push_back(c);
-      ++pos_;
-    }
-    return Error("unterminated string");
-  }
-
-  Result<JsonValue> ParseNumber() {
-    const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || token.empty() ||
-        !std::isfinite(parsed)) {
-      pos_ = start;
-      return Error("malformed number \"" + token + "\"");
-    }
-    JsonValue value;
-    value.kind = JsonValue::Kind::kNumber;
-    value.number = parsed;
-    return value;
-  }
-
-  Result<JsonValue> ParseBool() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      value.boolean = true;
-      pos_ += 4;
-      return value;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      value.boolean = false;
-      pos_ += 5;
-      return value;
-    }
-    return Error("malformed literal");
-  }
-
-  Result<JsonValue> ParseNull() {
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      JsonValue value;
-      return value;
-    }
-    return Error("malformed literal");
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  int depth_ = 0;  // Arrays/objects currently open.
-};
 
 // --- Schema checking ---
 //
@@ -296,19 +36,10 @@ Status CheckKnownKeys(const JsonValue& node, const std::string& path,
   return Status::Ok();
 }
 
-const JsonValue* Find(const JsonValue& node, const std::string& key) {
-  for (const auto& [candidate, value] : *node.object) {
-    if (candidate == key) {
-      return &value;
-    }
-  }
-  return nullptr;
-}
-
 Result<double> ReadNumber(const JsonValue& node, const std::string& path,
                           const std::string& key, bool required,
                           double fallback) {
-  const JsonValue* value = Find(node, key);
+  const JsonValue* value = node.Find(key);
   if (value == nullptr) {
     if (required) {
       return SchemaError(path, "missing required key \"" + key + "\"");
@@ -324,7 +55,7 @@ Result<double> ReadNumber(const JsonValue& node, const std::string& path,
 Result<std::string> ReadString(const JsonValue& node, const std::string& path,
                                const std::string& key, bool required,
                                std::string fallback) {
-  const JsonValue* value = Find(node, key);
+  const JsonValue* value = node.Find(key);
   if (value == nullptr) {
     if (required) {
       return SchemaError(path, "missing required key \"" + key + "\"");
@@ -365,7 +96,7 @@ Result<ReuseProfile> ParseReuse(const JsonValue& node,
   if (*streaming < 0.0 || *streaming > 1.0) {
     return SchemaError(path + ".streaming_weight", "must be in [0, 1]");
   }
-  const JsonValue* components = Find(node, "components");
+  const JsonValue* components = node.Find("components");
   if (components == nullptr) {
     return SchemaError(path, "missing required key \"components\"");
   }
@@ -567,7 +298,7 @@ Status ParseArrival(const JsonValue& node, const std::string& path,
   if (arrival.diurnal_amplitude > 1.0) {
     return SchemaError(path + ".diurnal_amplitude", "must be in [0, 1]");
   }
-  if (const JsonValue* phases = Find(node, "burst_phases")) {
+  if (const JsonValue* phases = node.Find("burst_phases")) {
     if (phases->kind != JsonValue::Kind::kArray) {
       return SchemaError(path + ".burst_phases", "expected an array");
     }
@@ -642,7 +373,7 @@ Status ParseServe(const JsonValue& node, const std::string& path,
   }
   replay.workload.instructions_per_request = *ipr;
   replay.workload.slo_p95_ms = *slo;
-  if (const JsonValue* arrival = Find(node, "arrival")) {
+  if (const JsonValue* arrival = node.Find("arrival")) {
     RETURN_IF_ERROR(ParseArrival(*arrival, path + ".arrival",
                                  replay.arrival));
     replay.has_arrival = true;
@@ -650,10 +381,8 @@ Status ParseServe(const JsonValue& node, const std::string& path,
   return Status::Ok();
 }
 
-}  // namespace
-
-Result<TraceReplay> ParseTraceReplay(const std::string& json) {
-  Result<JsonValue> document = JsonParser(json).Parse();
+// Schema-checks a parsed document, or passes its read/parse error through.
+Result<TraceReplay> FromDocument(const Result<JsonValue>& document) {
   if (!document.ok()) {
     return document.status();
   }
@@ -701,7 +430,7 @@ Result<TraceReplay> ParseTraceReplay(const std::string& json) {
   }
   replay.workload.category = *parsed_category;
 
-  const JsonValue* reuse = Find(*document, "reuse");
+  const JsonValue* reuse = document->Find("reuse");
   if (reuse == nullptr) {
     return SchemaError("$", "missing required key \"reuse\"");
   }
@@ -711,16 +440,16 @@ Result<TraceReplay> ParseTraceReplay(const std::string& json) {
   }
   replay.workload.reuse_profile = *profile;
 
-  const JsonValue* cpu = Find(*document, "cpu");
+  const JsonValue* cpu = document->Find("cpu");
   if (cpu == nullptr) {
     return SchemaError("$", "missing required key \"cpu\"");
   }
   RETURN_IF_ERROR(ParseCpu(*cpu, "$.cpu", replay.workload));
 
-  if (const JsonValue* phases = Find(*document, "phases")) {
+  if (const JsonValue* phases = document->Find("phases")) {
     RETURN_IF_ERROR(ParsePhases(*phases, "$.phases", replay.workload));
   }
-  if (const JsonValue* serve = Find(*document, "serve")) {
+  if (const JsonValue* serve = document->Find("serve")) {
     RETURN_IF_ERROR(ParseServe(*serve, "$.serve", replay));
   }
   if (replay.workload.category == WorkloadCategory::kLatencyCritical &&
@@ -731,14 +460,14 @@ Result<TraceReplay> ParseTraceReplay(const std::string& json) {
   return replay;
 }
 
+}  // namespace
+
+Result<TraceReplay> ParseTraceReplay(const std::string& json) {
+  return FromDocument(ParseJson(json));
+}
+
 Result<TraceReplay> LoadTraceReplayFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFoundError("cannot read trace file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseTraceReplay(buffer.str());
+  return FromDocument(ReadJsonFile(path));
 }
 
 }  // namespace copart

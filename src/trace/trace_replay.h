@@ -41,10 +41,9 @@
 //     }
 //   }
 //
-// The parser is a self-contained recursive-descent JSON reader (the repo
-// deliberately has no third-party JSON dependency); structural errors and
-// schema violations come back as InvalidArgumentError with a path like
-// "reuse.components[0].weight".
+// Documents are read through common/json_reader (bounded in size and
+// nesting depth); structural errors and schema violations come back as
+// InvalidArgumentError with a path like "reuse.components[0].weight".
 #ifndef COPART_TRACE_TRACE_REPLAY_H_
 #define COPART_TRACE_TRACE_REPLAY_H_
 
@@ -66,17 +65,13 @@ struct TraceReplay {
   ArrivalConfig arrival;
 };
 
-// Deepest array/object nesting the parser accepts; deeper documents are
-// malformed (the schema itself nests five levels: $.serve.arrival.
-// burst_phases[i]).
-inline constexpr int kTraceReplayMaxNestingDepth = 64;
-
 // Parses a schema-checked JSON document. InvalidArgumentError on malformed
-// JSON (including nesting past kTraceReplayMaxNestingDepth), schema
-// violations, unknown keys, or out-of-range values.
+// JSON (including the json_reader size and depth caps), schema violations,
+// unknown keys, or out-of-range values.
 Result<TraceReplay> ParseTraceReplay(const std::string& json);
 
-// Reads `path` and parses it. NotFoundError when unreadable.
+// Reads `path` and parses it. NotFoundError when unreadable;
+// InvalidArgumentError past kJsonMaxDocumentBytes, read no further.
 Result<TraceReplay> LoadTraceReplayFile(const std::string& path);
 
 }  // namespace copart

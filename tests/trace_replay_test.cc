@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json_reader.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "machine/simulated_machine.h"
@@ -141,6 +142,39 @@ TEST(TraceReplayTest, LoadsFromFile) {
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
+// `kFullDocument` padded with trailing whitespace to exactly `bytes`,
+// written to a temp file; returns its path.
+std::string WritePaddedDocument(size_t bytes) {
+  std::string text = kFullDocument;
+  text.resize(bytes, ' ');
+  const std::string path = ::testing::TempDir() + "/trace_replay_padded.json";
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  return path;
+}
+
+TEST(TraceReplayTest, FileAtTheSizeLimitLoads) {
+  const std::string path = WritePaddedDocument(kJsonMaxDocumentBytes);
+  Result<TraceReplay> replay = LoadTraceReplayFile(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(replay.ok()) << replay.status().ToString();
+}
+
+TEST(TraceReplayTest, RejectsFilePastTheSizeLimit) {
+  const std::string path = WritePaddedDocument(kJsonMaxDocumentBytes + 1);
+  Result<TraceReplay> replay = LoadTraceReplayFile(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(replay.ok());
+  EXPECT_EQ(replay.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(replay.status().message().find("exceeds"), std::string::npos)
+      << replay.status().ToString();
+  // The in-memory entry point holds the same cap.
+  std::string text = kFullDocument;
+  text.resize(kJsonMaxDocumentBytes + 1, ' ');
+  EXPECT_EQ(ParseTraceReplay(text).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // --- Rejection paths: every schema violation must fail loudly. ---
 
 TEST(TraceReplayTest, RejectsMalformedJson) {
@@ -161,7 +195,7 @@ std::string NestedArrays(size_t depth) {
 TEST(TraceReplayTest, NestingAtTheDepthLimitParses) {
   // Well-formed JSON at the limit: only the schema check rejects it.
   Result<TraceReplay> replay =
-      ParseTraceReplay(NestedArrays(kTraceReplayMaxNestingDepth));
+      ParseTraceReplay(NestedArrays(kJsonMaxNestingDepth));
   ASSERT_FALSE(replay.ok());
   EXPECT_NE(replay.status().message().find("top level must be an object"),
             std::string::npos)
@@ -170,7 +204,7 @@ TEST(TraceReplayTest, NestingAtTheDepthLimitParses) {
 
 TEST(TraceReplayTest, RejectsNestingPastTheDepthLimit) {
   Result<TraceReplay> replay =
-      ParseTraceReplay(NestedArrays(kTraceReplayMaxNestingDepth + 1));
+      ParseTraceReplay(NestedArrays(kJsonMaxNestingDepth + 1));
   ASSERT_FALSE(replay.ok());
   EXPECT_EQ(replay.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(replay.status().message().find("nesting depth"),

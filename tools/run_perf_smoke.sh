@@ -1,395 +1,68 @@
 #!/usr/bin/env bash
-# Perf smoke test: build Release, run bench_sim_throughput, and fail if any
-# epochs/sec point regresses more than 20% against the committed baseline
-# (BENCH_sim_throughput.json at the repo root). The bench runs twice — once
-# plain and once with --fault-injector (a FaultInjector attached but with no
-# points armed) — and BOTH runs are held to the same gate, pinning the
-# fault-injection substrate's compiled-in-but-disabled cost at ~zero.
+# Perf smoke test: build Release, run the four perf benches, and hold each
+# fresh report to its committed baseline (BENCH_*.json at the repo root)
+# with tools/bench_gate. Every rule lives in the baselines, declared per
+# point by the bench that measures it (schema: src/common/json_writer.h):
+# a 20% band on every throughput point, exact equality on the fleet's
+# deterministic outcome points, and the limits on the overhead ratios
+# (disabled observability < 2%, sensing < 10%, learned governors < 10%)
+# and the absolute floors (managed loop >= 3.2M epochs/s at 4 apps,
+# what-if snapshot speedup >= 10x).
 #
-# The bench also measures the managed control loop with an observability
-# bundle attached but disabled; the reported obs_disabled_overhead_pct must
-# stay under OBS_OVERHEAD_PCT (2%) — disabled instrumentation is one branch
-# per site and must never grow a measurable cost (DESIGN.md §8). Both obs
-# and sensing overheads are paired against the managed_full_solve
-# configuration (incremental fast path off), so the ratios keep pricing
-# instrumentation against a solving control tick rather than against the
-# ~100ns replay tick, where any fixed cost would read as tens of percent.
-#
-# Likewise for realistic sensing (DESIGN.md §10): sensing_overhead_pct — the
-# managed loop with the online MRC estimator on the sample path at the
-# default sampling budget, noise model off — must stay under
-# SENSING_OVERHEAD_PCT (10%). Sensing disabled is priced by the plain
-# managed point itself (one bool test), and the full noise model's cost is
-# reported as sensing_noisy_overhead_pct but not gated.
-#
-# The epoch fast path (DESIGN.md §12) is held to two absolute floors on top
-# of the relative gates: the default managed loop must sustain at least
-# MANAGED_FLOOR epochs/sec at 4 apps, and snapshot-based what-if evaluation
-# must be at least WHATIF_SPEEDUP_MIN times faster than fresh-machine
-# re-simulation over the oracle-style candidate schedule. The bench's
-# --scalar-check mode (vectorized vs scalar vs incremental kernels, bitwise)
-# runs first: a divergence there is a correctness bug, and perf numbers from
-# a wrong kernel are meaningless.
-#
-# bench_serve (the request-serving subsystem, DESIGN.md §9) is gated the
-# same way against BENCH_serve.json: simulated requests/sec of the raw
-# discrete-event engine and epochs/sec of the SLO-mode control loop.
-#
-# bench_governor (the pluggable SLO governors, DESIGN.md §15) is gated
-# against BENCH_governor.json: epochs/sec of the SLO-mode serve loop per
-# registered governor gets the usual 20% band, and the fresh run's
-# learned_overhead_pct — the slowest learned governor's managed loop priced
-# against the threshold loop — must stay under GOVERNOR_OVERHEAD_PCT (10%).
-#
-# bench_fleet (the fault-tolerant fleet layer, DESIGN.md §13) is gated
-# against BENCH_fleet.json: node-ticks/sec of the parallel fleet control
-# loop gets the usual 20% band, but the canonical robustness scenario's
-# outcome points (fleet p99 slowdown, completed migrations, verified
-# rollbacks, crash-wave recovery epochs) are pure functions of the seed
-# and are gated EXACTLY — any drift there is a behavior change, not noise,
-# and must arrive as a deliberate baseline refresh.
+# bench_sim_throughput runs twice — plain and with --fault-injector (a
+# FaultInjector attached with no points armed) — and both runs are gated
+# against the same baseline, pinning the fault substrate's
+# compiled-in-but-disabled cost at ~zero. Its --scalar-check mode
+# (vectorized vs scalar vs incremental kernels, bitwise) runs first: a
+# divergence there is a correctness bug, and perf numbers from a wrong
+# kernel are meaningless. bench_fleet exits non-zero when the canonical
+# fleet scenario breaks job conservation, for the same reason.
 #
 # Usage: tools/run_perf_smoke.sh [build-dir]
 #
-# The threshold is deliberately loose — CI machines are noisy — so a failure
+# The band is deliberately loose — CI machines are noisy — so a failure
 # here means a real algorithmic regression (e.g. reintroducing per-epoch
-# allocations or exact solves on the hot path), not jitter. Refresh the
-# baselines by running the benches from the repo root on a quiet machine:
-#   ./<build-dir>/bench/bench_sim_throughput --min-seconds=1
-#   ./<build-dir>/bench/bench_serve --min-seconds=1
-#   ./<build-dir>/bench/bench_governor --min-seconds=1
-#   ./<build-dir>/bench/bench_fleet --min-seconds=1
-# If the machine shows run-to-run swings approaching the gate (the exact-MRC
-# points are the most boost-state-sensitive), run the bench a few times and
-# commit the per-point MINIMUM as the baseline — a conservative baseline
-# still catches algorithmic regressions, while a lucky fast run would turn
-# the gate into a frequency-governor test.
+# allocations or exact solves on the hot path), not jitter. Refresh a
+# baseline by running its bench from the repo root on a quiet machine,
+# e.g. ./<build-dir>/bench/bench_serve --min-seconds=1. If the machine
+# shows run-to-run swings approaching the band (the exact-MRC points are
+# the most boost-state-sensitive), run the bench a few times and commit
+# the per-point MINIMUM as the baseline — a conservative baseline still
+# catches algorithmic regressions, while a lucky fast run would turn the
+# gate into a frequency-governor test.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-perf}"
-BASELINE="BENCH_sim_throughput.json"
-SERVE_BASELINE="BENCH_serve.json"
-GOVERNOR_BASELINE="BENCH_governor.json"
-FLEET_BASELINE="BENCH_fleet.json"
-REGRESSION_PCT=20
-OBS_OVERHEAD_PCT=2
-SENSING_OVERHEAD_PCT=10
-GOVERNOR_OVERHEAD_PCT=10
-MANAGED_FLOOR=3200000
-WHATIF_SPEEDUP_MIN=10
-
-for baseline in "$BASELINE" "$SERVE_BASELINE" "$GOVERNOR_BASELINE" \
-    "$FLEET_BASELINE"; do
-  if [[ ! -f "$baseline" ]]; then
-    echo "run_perf_smoke: no committed baseline at $baseline" >&2
-    exit 1
-  fi
-done
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" --target bench_sim_throughput bench_serve \
-  bench_governor bench_fleet -j "$(nproc)"
+  bench_governor bench_fleet bench_gate -j "$(nproc)"
 
-FRESH="$(mktemp /tmp/bench_sim_throughput.XXXXXX.json)"
-FRESH_INJ="$(mktemp /tmp/bench_sim_throughput_inj.XXXXXX.json)"
-FRESH_SERVE="$(mktemp /tmp/bench_serve.XXXXXX.json)"
-FRESH_GOVERNOR="$(mktemp /tmp/bench_governor.XXXXXX.json)"
-FRESH_FLEET="$(mktemp /tmp/bench_fleet.XXXXXX.json)"
-trap 'rm -f "$FRESH" "$FRESH_INJ" "$FRESH_SERVE" "$FRESH_GOVERNOR" \
-  "$FRESH_FLEET"' EXIT
-# Correctness first: the kernels must agree bitwise before their speed
-# means anything (set -e aborts on divergence).
-"$BUILD_DIR/bench/bench_sim_throughput" --scalar-check
-"$BUILD_DIR/bench/bench_sim_throughput" --json="$FRESH" --min-seconds=0.5
-"$BUILD_DIR/bench/bench_sim_throughput" --json="$FRESH_INJ" \
+FRESH="$(mktemp -d /tmp/run_perf_smoke.XXXXXX)"
+trap 'rm -rf "$FRESH"' EXIT
+BENCH="$BUILD_DIR/bench"
+"$BENCH/bench_sim_throughput" --scalar-check
+"$BENCH/bench_sim_throughput" --json="$FRESH/sim_plain.json" --min-seconds=0.5
+"$BENCH/bench_sim_throughput" --json="$FRESH/sim_injector.json" \
   --min-seconds=0.5 --fault-injector
-"$BUILD_DIR/bench/bench_serve" --json="$FRESH_SERVE" --min-seconds=0.5
-"$BUILD_DIR/bench/bench_governor" --json="$FRESH_GOVERNOR" --min-seconds=0.5
-# Exits non-zero if the canonical fleet scenario violates job conservation
-# (set -e aborts): an invariant break makes the perf numbers moot.
-"$BUILD_DIR/bench/bench_fleet" --json="$FRESH_FLEET" --min-seconds=0.5
-
-# The bench emits one result object per line:
-#   {"mode": "exact", "apps": 2, "epochs_per_sec": 12345.6},
-# so plain grep/sed suffice — no JSON parser needed.
-point_value() {  # point_value FILE MODE APPS -> epochs_per_sec (or empty)
-  grep "\"mode\": \"$2\", \"apps\": $3," "$1" |
-    sed -n 's/.*"epochs_per_sec": \([0-9.]*\).*/\1/p'
-}
+"$BENCH/bench_serve" --json="$FRESH/serve.json" --min-seconds=0.5
+"$BENCH/bench_governor" --json="$FRESH/governor.json" --min-seconds=0.5
+"$BENCH/bench_fleet" --json="$FRESH/fleet.json" --min-seconds=0.5
 
 fail=0
-check_run() {  # check_run FILE LABEL — gate every baseline point in FILE
-  local file="$1" label="$2"
-  while IFS= read -r line; do
-    mode="$(printf '%s\n' "$line" | sed -n 's/.*"mode": "\([a-z_]*\)".*/\1/p')"
-    apps="$(printf '%s\n' "$line" | sed -n 's/.*"apps": \([0-9]*\).*/\1/p')"
-    base="$(printf '%s\n' "$line" |
-      sed -n 's/.*"epochs_per_sec": \([0-9.]*\).*/\1/p')"
-    [[ -n "$mode" && -n "$apps" && -n "$base" ]] || continue
-    now="$(point_value "$file" "$mode" "$apps")"
-    if [[ -z "$now" ]]; then
-      echo "run_perf_smoke: FAIL [$label] mode=$mode apps=$apps" \
-        "missing from fresh run"
-      fail=1
-      continue
-    fi
-    # now < base * (1 - pct/100) ?
-    floor="$(awk -v b="$base" -v p="$REGRESSION_PCT" \
-      'BEGIN { printf "%.1f", b * (1 - p / 100) }')"
-    verdict="$(awk -v n="$now" -v f="$floor" 'BEGIN { print (n < f) }')"
-    if [[ "$verdict" == 1 ]]; then
-      echo "run_perf_smoke: FAIL [$label] mode=$mode apps=$apps" \
-        "epochs_per_sec=$now < floor=$floor (baseline=$base)"
-      fail=1
-    else
-      echo "run_perf_smoke: ok   [$label] mode=$mode apps=$apps" \
-        "epochs_per_sec=$now (baseline=$base, floor=$floor)"
-    fi
-  done < <(grep '"epochs_per_sec"' "$BASELINE")
+gate() {  # gate BASELINE FRESH
+  echo "run_perf_smoke: $1 vs $(basename "$2")"
+  "$BUILD_DIR/tools/bench_gate" "$1" "$2" || fail=1
 }
-
-check_run "$FRESH" "plain"
-check_run "$FRESH_INJ" "injector-disarmed"
-
-# bench_serve points: {"point": "engine_requests_per_sec", "value": 123.4}
-serve_point_value() {  # serve_point_value FILE POINT -> value (or empty)
-  grep "\"point\": \"$2\"" "$1" |
-    sed -n 's/.*"value": \([0-9.]*\).*/\1/p'
-}
-
-check_serve_run() {  # check_serve_run FILE LABEL
-  local file="$1" label="$2"
-  while IFS= read -r line; do
-    point="$(printf '%s\n' "$line" |
-      sed -n 's/.*"point": "\([a-z_]*\)".*/\1/p')"
-    base="$(printf '%s\n' "$line" |
-      sed -n 's/.*"value": \([0-9.]*\).*/\1/p')"
-    [[ -n "$point" && -n "$base" ]] || continue
-    now="$(serve_point_value "$file" "$point")"
-    if [[ -z "$now" ]]; then
-      echo "run_perf_smoke: FAIL [$label] point=$point missing from fresh run"
-      fail=1
-      continue
-    fi
-    floor="$(awk -v b="$base" -v p="$REGRESSION_PCT" \
-      'BEGIN { printf "%.1f", b * (1 - p / 100) }')"
-    verdict="$(awk -v n="$now" -v f="$floor" 'BEGIN { print (n < f) }')"
-    if [[ "$verdict" == 1 ]]; then
-      echo "run_perf_smoke: FAIL [$label] point=$point" \
-        "value=$now < floor=$floor (baseline=$base)"
-      fail=1
-    else
-      echo "run_perf_smoke: ok   [$label] point=$point" \
-        "value=$now (baseline=$base, floor=$floor)"
-    fi
-  done < <(grep '"point"' "$SERVE_BASELINE")
-}
-
-check_serve_run "$FRESH_SERVE" "serve"
-
-# bench_governor points share bench_serve's one-object-per-line shape:
-#   {"point": "mpc_epochs_per_sec", "value": 123.4}
-check_governor_run() {  # check_governor_run FILE LABEL
-  local file="$1" label="$2"
-  while IFS= read -r line; do
-    point="$(printf '%s\n' "$line" |
-      sed -n 's/.*"point": "\([a-z_]*\)".*/\1/p')"
-    base="$(printf '%s\n' "$line" |
-      sed -n 's/.*"value": \([0-9.]*\).*/\1/p')"
-    [[ -n "$point" && -n "$base" ]] || continue
-    now="$(serve_point_value "$file" "$point")"
-    if [[ -z "$now" ]]; then
-      echo "run_perf_smoke: FAIL [$label] point=$point missing from fresh run"
-      fail=1
-      continue
-    fi
-    floor="$(awk -v b="$base" -v p="$REGRESSION_PCT" \
-      'BEGIN { printf "%.1f", b * (1 - p / 100) }')"
-    verdict="$(awk -v n="$now" -v f="$floor" 'BEGIN { print (n < f) }')"
-    if [[ "$verdict" == 1 ]]; then
-      echo "run_perf_smoke: FAIL [$label] point=$point" \
-        "value=$now < floor=$floor (baseline=$base)"
-      fail=1
-    else
-      echo "run_perf_smoke: ok   [$label] point=$point" \
-        "value=$now (baseline=$base, floor=$floor)"
-    fi
-  done < <(grep '"point"' "$GOVERNOR_BASELINE")
-}
-
-check_governor_run "$FRESH_GOVERNOR" "governor"
-
-check_governor_overhead() {  # check_governor_overhead FILE LABEL
-  local file="$1" label="$2" pct verdict
-  pct="$(sed -n 's/.*"learned_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' \
-    "$file")"
-  if [[ -z "$pct" ]]; then
-    echo "run_perf_smoke: FAIL [$label] learned_overhead_pct" \
-      "missing from fresh run"
-    fail=1
-    return
-  fi
-  verdict="$(awk -v p="$pct" -v max="$GOVERNOR_OVERHEAD_PCT" \
-    'BEGIN { print (p >= max) }')"
-  if [[ "$verdict" == 1 ]]; then
-    echo "run_perf_smoke: FAIL [$label] learned-governor managed-loop" \
-      "overhead ${pct}% >= ${GOVERNOR_OVERHEAD_PCT}% vs threshold"
-    fail=1
-  else
-    echo "run_perf_smoke: ok   [$label] learned-governor managed-loop" \
-      "overhead ${pct}% < ${GOVERNOR_OVERHEAD_PCT}% vs threshold"
-  fi
-}
-
-check_governor_overhead "$FRESH_GOVERNOR" "governor"
-
-# bench_fleet points: same one-object-per-line shape as bench_serve, but
-# point names carry digits (fleet_p99_slowdown), and the outcome points are
-# deterministic — gated on exact equality rather than a band.
-fleet_point_value() {  # fleet_point_value FILE POINT -> value (or empty)
-  grep "\"point\": \"$2\"" "$1" |
-    sed -n 's/.*"value": \(-\{0,1\}[0-9.]*\).*/\1/p'
-}
-
-check_fleet_run() {  # check_fleet_run FILE LABEL
-  local file="$1" label="$2"
-  while IFS= read -r line; do
-    point="$(printf '%s\n' "$line" |
-      sed -n 's/.*"point": "\([a-z0-9_]*\)".*/\1/p')"
-    base="$(printf '%s\n' "$line" |
-      sed -n 's/.*"value": \(-\{0,1\}[0-9.]*\).*/\1/p')"
-    [[ -n "$point" && -n "$base" ]] || continue
-    now="$(fleet_point_value "$file" "$point")"
-    if [[ -z "$now" ]]; then
-      echo "run_perf_smoke: FAIL [$label] point=$point missing from fresh run"
-      fail=1
-      continue
-    fi
-    if [[ "$point" == "fleet_node_ticks_per_sec" ]]; then
-      # Throughput: the usual one-sided regression band.
-      floor="$(awk -v b="$base" -v p="$REGRESSION_PCT" \
-        'BEGIN { printf "%.1f", b * (1 - p / 100) }')"
-      verdict="$(awk -v n="$now" -v f="$floor" 'BEGIN { print (n < f) }')"
-      if [[ "$verdict" == 1 ]]; then
-        echo "run_perf_smoke: FAIL [$label] point=$point" \
-          "value=$now < floor=$floor (baseline=$base)"
-        fail=1
-      else
-        echo "run_perf_smoke: ok   [$label] point=$point" \
-          "value=$now (baseline=$base, floor=$floor)"
-      fi
-    else
-      # Deterministic outcome: exact match, both directions.
-      if [[ "$now" != "$base" ]]; then
-        echo "run_perf_smoke: FAIL [$label] point=$point" \
-          "value=$now != baseline=$base (deterministic point drifted —" \
-          "behavior change, refresh the baseline deliberately)"
-        fail=1
-      else
-        echo "run_perf_smoke: ok   [$label] point=$point" \
-          "value=$now (exact match)"
-      fi
-    fi
-  done < <(grep '"point"' "$FLEET_BASELINE")
-}
-
-check_fleet_run "$FRESH_FLEET" "fleet"
-
-check_obs_overhead() {  # check_obs_overhead FILE LABEL
-  local file="$1" label="$2" pct
-  pct="$(sed -n 's/.*"obs_disabled_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' \
-    "$file")"
-  if [[ -z "$pct" ]]; then
-    echo "run_perf_smoke: FAIL [$label] obs_disabled_overhead_pct" \
-      "missing from fresh run"
-    fail=1
-    return
-  fi
-  local verdict
-  verdict="$(awk -v p="$pct" -v max="$OBS_OVERHEAD_PCT" \
-    'BEGIN { print (p >= max) }')"
-  if [[ "$verdict" == 1 ]]; then
-    echo "run_perf_smoke: FAIL [$label] disabled-observability overhead" \
-      "${pct}% >= ${OBS_OVERHEAD_PCT}%"
-    fail=1
-  else
-    echo "run_perf_smoke: ok   [$label] disabled-observability overhead" \
-      "${pct}% < ${OBS_OVERHEAD_PCT}%"
-  fi
-}
-check_obs_overhead "$FRESH" "plain"
-
-check_sensing_overhead() {  # check_sensing_overhead FILE LABEL
-  local file="$1" label="$2" pct
-  pct="$(sed -n 's/.*"sensing_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' \
-    "$file")"
-  if [[ -z "$pct" ]]; then
-    echo "run_perf_smoke: FAIL [$label] sensing_overhead_pct" \
-      "missing from fresh run"
-    fail=1
-    return
-  fi
-  local verdict
-  verdict="$(awk -v p="$pct" -v max="$SENSING_OVERHEAD_PCT" \
-    'BEGIN { print (p >= max) }')"
-  if [[ "$verdict" == 1 ]]; then
-    echo "run_perf_smoke: FAIL [$label] sensing estimator overhead" \
-      "${pct}% >= ${SENSING_OVERHEAD_PCT}%"
-    fail=1
-  else
-    echo "run_perf_smoke: ok   [$label] sensing estimator overhead" \
-      "${pct}% < ${SENSING_OVERHEAD_PCT}%"
-  fi
-}
-check_sensing_overhead "$FRESH" "plain"
-
-check_absolute_floor() {  # check_absolute_floor FILE LABEL MODE APPS FLOOR
-  local file="$1" label="$2" mode="$3" apps="$4" floor="$5" now verdict
-  now="$(point_value "$file" "$mode" "$apps")"
-  if [[ -z "$now" ]]; then
-    echo "run_perf_smoke: FAIL [$label] mode=$mode apps=$apps" \
-      "missing from fresh run"
-    fail=1
-    return
-  fi
-  verdict="$(awk -v n="$now" -v f="$floor" 'BEGIN { print (n < f) }')"
-  if [[ "$verdict" == 1 ]]; then
-    echo "run_perf_smoke: FAIL [$label] mode=$mode apps=$apps" \
-      "epochs_per_sec=$now < absolute floor=$floor"
-    fail=1
-  else
-    echo "run_perf_smoke: ok   [$label] mode=$mode apps=$apps" \
-      "epochs_per_sec=$now >= absolute floor=$floor"
-  fi
-}
-check_absolute_floor "$FRESH" "plain" managed 4 "$MANAGED_FLOOR"
-
-check_whatif_speedup() {  # check_whatif_speedup FILE LABEL
-  local file="$1" label="$2" speedup verdict
-  speedup="$(sed -n 's/.*"whatif_snapshot_speedup": \([0-9.]*\).*/\1/p' \
-    "$file")"
-  if [[ -z "$speedup" ]]; then
-    echo "run_perf_smoke: FAIL [$label] whatif_snapshot_speedup" \
-      "missing from fresh run"
-    fail=1
-    return
-  fi
-  verdict="$(awk -v s="$speedup" -v min="$WHATIF_SPEEDUP_MIN" \
-    'BEGIN { print (s < min) }')"
-  if [[ "$verdict" == 1 ]]; then
-    echo "run_perf_smoke: FAIL [$label] what-if snapshot speedup" \
-      "${speedup}x < ${WHATIF_SPEEDUP_MIN}x over fresh re-simulation"
-    fail=1
-  else
-    echo "run_perf_smoke: ok   [$label] what-if snapshot speedup" \
-      "${speedup}x >= ${WHATIF_SPEEDUP_MIN}x over fresh re-simulation"
-  fi
-}
-check_whatif_speedup "$FRESH" "plain"
+gate BENCH_sim_throughput.json "$FRESH/sim_plain.json"
+gate BENCH_sim_throughput.json "$FRESH/sim_injector.json"
+gate BENCH_serve.json "$FRESH/serve.json"
+gate BENCH_governor.json "$FRESH/governor.json"
+gate BENCH_fleet.json "$FRESH/fleet.json"
 
 if [[ "$fail" != 0 ]]; then
-  echo "run_perf_smoke: REGRESSION DETECTED (>${REGRESSION_PCT}% below baseline)"
+  echo "run_perf_smoke: REGRESSION DETECTED"
   exit 1
 fi
-echo "run_perf_smoke: all points within ${REGRESSION_PCT}% of baseline"
+echo "run_perf_smoke: every point passes its gate"

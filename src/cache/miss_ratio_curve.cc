@@ -1,7 +1,10 @@
 #include "cache/miss_ratio_curve.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <map>
 #include <mutex>
 
 #include "cache/compiled_mrc.h"
@@ -18,11 +21,74 @@ constexpr double kLineBytes = 64.0;
 // precision is far below the model's own accuracy.
 constexpr int kBisectionIterations = 48;
 
+// Exact content of a profile as far as its compiled table is concerned:
+// the streaming weight's bit pattern, then (weight bits, working set) per
+// component in order. Equal keys compile to bit-identical tables.
+using ContentKey = std::vector<uint64_t>;
+
+ContentKey KeyOf(const ReuseProfile& profile) {
+  ContentKey key;
+  key.reserve(1 + 2 * profile.components().size());
+  key.push_back(std::bit_cast<uint64_t>(profile.streaming_weight()));
+  for (const ReuseComponent& component : profile.components()) {
+    key.push_back(std::bit_cast<uint64_t>(component.weight));
+    key.push_back(component.working_set_bytes);
+  }
+  return key;
+}
+
+std::atomic<uint64_t> compiled_build_count{0};
+
+// One table per live profile content.
+struct InternedTable {
+  std::once_flag once;
+  std::unique_ptr<const CompiledMrc> table;
+};
+
+// Process-wide content -> table registry. It holds weak references only, so
+// a table lives exactly as long as some profile holds it and memory stays
+// bounded by what is resident: interning every table for the life of the
+// process would keep one ~43 KB table per distinct mixture ever seen.
+// Expired entries are pruned whenever the map doubles past its last live
+// size, which keeps inserts amortized O(log n).
+class TableRegistry {
+ public:
+  std::shared_ptr<InternedTable> Intern(ContentKey key) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::weak_ptr<InternedTable>& entry = entries_[std::move(key)];
+    if (std::shared_ptr<InternedTable> live = entry.lock()) {
+      return live;
+    }
+    auto slot = std::make_shared<InternedTable>();
+    entry = slot;
+    if (entries_.size() >= prune_at_) {
+      std::erase_if(entries_,
+                    [](const auto& kv) { return kv.second.expired(); });
+      prune_at_ = std::max(kMinPruneSize, 2 * entries_.size());
+    }
+    return slot;
+  }
+
+ private:
+  static constexpr size_t kMinPruneSize = 64;
+
+  std::mutex mutex_;
+  std::map<ContentKey, std::weak_ptr<InternedTable>> entries_;
+  size_t prune_at_ = kMinPruneSize;
+};
+
+TableRegistry& Registry() {
+  static TableRegistry registry;
+  return registry;
+}
+
 }  // namespace
 
 struct ReuseProfile::LazyCompiled {
   std::once_flag once;
-  std::unique_ptr<const CompiledMrc> table;
+  // Keeps the interned table alive while any copy of this profile is.
+  std::shared_ptr<InternedTable> interned;
+  const CompiledMrc* table = nullptr;
 };
 
 ReuseProfile::ReuseProfile(std::vector<ReuseComponent> components,
@@ -118,9 +184,21 @@ double ReuseProfile::MissRatio(uint64_t capacity_bytes, MrcMode mode) const {
 
 const CompiledMrc& ReuseProfile::Compiled() const {
   std::call_once(compiled_->once, [this] {
-    compiled_->table = std::make_unique<const CompiledMrc>(*this);
+    std::shared_ptr<InternedTable> interned = Registry().Intern(KeyOf(*this));
+    // Racing resolvers of one key share the slot, so each live content is
+    // built once; distinct keys build concurrently outside the registry lock.
+    std::call_once(interned->once, [&] {
+      interned->table = std::make_unique<const CompiledMrc>(*this);
+      compiled_build_count.fetch_add(1, std::memory_order_relaxed);
+    });
+    compiled_->table = interned->table.get();
+    compiled_->interned = std::move(interned);
   });
   return *compiled_->table;
+}
+
+uint64_t ReuseProfile::CompiledBuildCount() {
+  return compiled_build_count.load(std::memory_order_relaxed);
 }
 
 uint64_t ReuseProfile::MaxWorkingSetBytes() const {

@@ -44,8 +44,8 @@ class CompiledMrc;
 // mode for the whole epoch model):
 //   kExact    — per-query bisection on Che's occupancy balance (reference).
 //   kCompiled — precompiled monotone-interpolated table (cache/compiled_mrc
-//               .h), built once per profile on first use; ~1e-5 relative
-//               error, ~50x cheaper per query.
+//               .h), built once per profile content on first use; ~1e-5
+//               relative error, ~50x cheaper per query.
 enum class MrcMode {
   kExact,
   kCompiled,
@@ -76,10 +76,18 @@ class ReuseProfile {
   // table's grid (notably capacity 0).
   double MissRatio(uint64_t capacity_bytes, MrcMode mode) const;
 
-  // The compiled table, built on first use (thread-safe) and memoized:
-  // copies of this profile — e.g. the same descriptor launched on every
-  // machine of a sweep — share one table.
+  // The compiled table (default CompiledMrcOptions), built on first use
+  // (thread-safe) and interned by content: every profile whose streaming
+  // weight and (weight, working set) components are bit-for-bit equal, in
+  // the same order, shares one table — copies of a descriptor and
+  // independently constructed equal mixtures alike. The table lives while
+  // any profile that resolved it does; the next equal profile after that
+  // builds it again.
   const CompiledMrc& Compiled() const;
+
+  // Process-wide count of tables Compiled() has built (read-only; tests use
+  // it to observe interning).
+  static uint64_t CompiledBuildCount();
 
   // Total footprint: largest component working set (streaming counts as
   // unbounded and is ignored here).
@@ -89,7 +97,7 @@ class ReuseProfile {
   double streaming_weight() const { return streaming_weight_; }
 
  private:
-  struct LazyCompiled;  // once_flag + table; shared across profile copies.
+  struct LazyCompiled;  // Resolved interned table; shared across copies.
 
   std::vector<ReuseComponent> components_;
   double streaming_weight_;

@@ -193,22 +193,33 @@ class JsonParser {
     return Error("unterminated string");
   }
 
+  // RFC 8259 number: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  // Anything else, including a valid prefix run straight into more number
+  // characters ("01", "1.", "1e+"), is malformed; strtod only converts a
+  // token the grammar already accepted.
   Result<JsonValue> ParseNumber() {
     const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      ++pos_;
+    AcceptChar('-');
+    // A leading 0 stands alone; otherwise the integer part starts at 1-9.
+    bool well_formed = AcceptChar('0') || AcceptDigits();
+    if (well_formed && AcceptChar('.')) {
+      well_formed = AcceptDigits();
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    if (well_formed && (AcceptChar('e') || AcceptChar('E'))) {
+      if (!AcceptChar('+')) {
+        AcceptChar('-');
+      }
+      well_formed = AcceptDigits();
+    }
+    // Where the grammar stopped short, report the whole run.
+    while (pos_ < text_.size() && IsNumberChar(text_[pos_])) {
+      well_formed = false;
       ++pos_;
     }
     const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || token.empty() ||
-        !std::isfinite(parsed)) {
+    const double parsed =
+        well_formed ? std::strtod(token.c_str(), nullptr) : 0.0;
+    if (!well_formed || !std::isfinite(parsed)) {
       pos_ = start;
       return Error("malformed number \"" + token + "\"");
     }
@@ -216,6 +227,29 @@ class JsonParser {
     value.kind = JsonValue::Kind::kNumber;
     value.number = parsed;
     return value;
+  }
+
+  // Number-token helpers: unlike Consume, these never skip whitespace.
+  bool AcceptChar(char c) {
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  // One or more decimal digits.
+  bool AcceptDigits() {
+    const size_t first = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ > first;
+  }
+
+  static bool IsNumberChar(char c) {
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+           c == '+' || c == '-';
   }
 
   Result<JsonValue> ParseBool() {

@@ -48,6 +48,12 @@ Result<AppId> SimulatedMachine::LaunchApp(const WorkloadDescriptor& descriptor,
   App app;
   app.id = AppId(next_app_id_++);
   app.descriptor = descriptor;
+  if (descriptor.phases.empty()) {
+    app.phase_profiles.push_back(descriptor.reuse_profile);
+  }
+  for (const WorkloadPhase& phase : descriptor.phases) {
+    app.phase_profiles.push_back(PhaseProfile(descriptor, phase));
+  }
   app.num_cores = cores;
   app.launch_time = now_;
   used_cores_ += cores;
@@ -216,6 +222,23 @@ double SimulatedMachine::UnconstrainedCpi(const WorkloadDescriptor& d,
   return cpi_exec + mpi * stall_per_miss * throttle_stretch;
 }
 
+ReuseProfile SimulatedMachine::PhaseProfile(const WorkloadDescriptor& d,
+                                            const WorkloadPhase& phase) {
+  if (phase.streaming_scale == 1.0) {
+    return d.reuse_profile;
+  }
+  // Scale the streaming share of the profile, stealing from / returning to
+  // the residual (always-hit) weight so the total never exceeds 1.
+  double component_weight = 0.0;
+  for (const ReuseComponent& component : d.reuse_profile.components()) {
+    component_weight += component.weight;
+  }
+  const double scaled =
+      std::min(d.reuse_profile.streaming_weight() * phase.streaming_scale,
+               1.0 - component_weight);
+  return ReuseProfile(d.reuse_profile.components(), scaled);
+}
+
 SimulatedMachine::EffectiveParams SimulatedMachine::EffectiveParamsFor(
     const App& app, size_t phase_index) const {
   const WorkloadDescriptor& d = app.descriptor;
@@ -226,20 +249,7 @@ SimulatedMachine::EffectiveParams SimulatedMachine::EffectiveParamsFor(
       d.accesses_per_instr * phase.access_intensity_scale;
   params.cpi_exec = d.cpi_exec * phase.cpi_exec_scale;
   params.phase_index = phase_index;
-  if (phase.streaming_scale == 1.0) {
-    params.profile = d.reuse_profile;
-  } else {
-    // Scale the streaming share of the profile, stealing from / returning
-    // to the residual (always-hit) weight so the total never exceeds 1.
-    double component_weight = 0.0;
-    for (const ReuseComponent& component : d.reuse_profile.components()) {
-      component_weight += component.weight;
-    }
-    const double scaled = std::min(
-        d.reuse_profile.streaming_weight() * phase.streaming_scale,
-        1.0 - component_weight);
-    params.profile = ReuseProfile(d.reuse_profile.components(), scaled);
-  }
+  params.profile = app.phase_profiles[phase_index];
   return params;
 }
 

@@ -234,6 +234,11 @@ class SimulatedMachine {
   struct App {
     AppId id;
     WorkloadDescriptor descriptor;
+    // The reuse profile of each descriptor phase (one entry, the
+    // descriptor's own profile, when it has none), built at launch so phase
+    // re-entries, refreshes and restores copy a profile that already holds
+    // its compiled table instead of compiling a fresh one.
+    std::vector<ReuseProfile> phase_profiles;
     uint32_t num_cores = 0;
     double launch_time = 0.0;
   };
@@ -252,6 +257,9 @@ class SimulatedMachine {
   size_t IndexOf(AppId id) const;
   const App& GetApp(AppId id) const;
 
+  // The descriptor's profile with its streaming weight scaled for `phase`.
+  static ReuseProfile PhaseProfile(const WorkloadDescriptor& d,
+                                   const WorkloadPhase& phase);
   EffectiveParams EffectiveParamsFor(const App& app,
                                      size_t phase_index) const;
 

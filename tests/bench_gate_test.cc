@@ -180,6 +180,16 @@ TEST(BenchGateTest, MalformedOrMissingFilesExitNonZeroWithAMessage) {
   const std::string other_bench =
       WriteReport("other.json", {Point("p", "1.0", "band")}, "other");
   EXPECT_EQ(RunGate(good + " " + other_bench).exit_code, 2);
+  // A value outside the JSON number grammar (strtod would read 100000).
+  const std::string bad_number =
+      WriteReport("bad.json", {Point("p", "01.e5", "band")});
+  for (const std::string& args :
+       {bad_number + " " + good, good + " " + bad_number}) {
+    const GateRun run = RunGate(args);
+    EXPECT_EQ(run.exit_code, 2) << run.output;
+    EXPECT_NE(run.output.find("malformed number"), std::string::npos)
+        << run.output;
+  }
   GateRun run = RunGate(TempPath("no_such_file.json") + " " + good);
   EXPECT_EQ(run.exit_code, 2);
   EXPECT_NE(run.output.find("cannot read"), std::string::npos) << run.output;

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +15,7 @@
 
 #include "cache/compiled_mrc.h"
 #include "cache/miss_ratio_curve.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "workload/workload.h"
@@ -130,6 +133,79 @@ TEST(CompiledMrcTest, TableIsSharedAcrossProfileCopies) {
   // Same table object, not merely equal contents: compilation is memoized
   // per descriptor.
   EXPECT_EQ(&original.Compiled(), &copy.Compiled());
+}
+
+TEST(CompiledMrcTest, EqualContentSharesOneTable) {
+  // Independently constructed, not copied: interning by content, not by
+  // copy lineage, makes them share.
+  const ReuseProfile a({{0.31, MiB(5)}, {0.27, KiB(700)}}, 0.19);
+  const ReuseProfile b({{0.31, MiB(5)}, {0.27, KiB(700)}}, 0.19);
+  EXPECT_EQ(&a.Compiled(), &b.Compiled());
+  const uint64_t builds = ReuseProfile::CompiledBuildCount();
+  const ReuseProfile c({{0.31, MiB(5)}, {0.27, KiB(700)}}, 0.19);
+  EXPECT_EQ(&a.Compiled(), &c.Compiled());
+  EXPECT_EQ(ReuseProfile::CompiledBuildCount(), builds);
+}
+
+TEST(CompiledMrcTest, AnyContentDifferenceGetsItsOwnTable) {
+  const ReuseProfile base({{0.41, MiB(3)}, {0.22, MiB(9)}}, 0.13);
+  const ReuseProfile weight_ulp(
+      {{std::nextafter(0.41, 1.0), MiB(3)}, {0.22, MiB(9)}}, 0.13);
+  const ReuseProfile streaming_ulp({{0.41, MiB(3)}, {0.22, MiB(9)}},
+                                   std::nextafter(0.13, 0.0));
+  const ReuseProfile working_set({{0.41, MiB(3) + 64}, {0.22, MiB(9)}}, 0.13);
+  const ReuseProfile reordered({{0.22, MiB(9)}, {0.41, MiB(3)}}, 0.13);
+  std::set<const CompiledMrc*> tables;
+  for (const ReuseProfile* profile :
+       {&base, &weight_ulp, &streaming_ulp, &working_set, &reordered}) {
+    tables.insert(&profile->Compiled());
+  }
+  EXPECT_EQ(tables.size(), 5u);
+}
+
+TEST(CompiledMrcTest, TableIsRebuiltOnlyAfterEveryHolderIsGone) {
+  const std::vector<ReuseComponent> components = {{0.37, MiB(6)}};
+  uint64_t builds = ReuseProfile::CompiledBuildCount();
+  std::optional<ReuseProfile> holder;
+  holder.emplace(components, 0.23);
+  holder->Compiled();
+  EXPECT_EQ(ReuseProfile::CompiledBuildCount(), builds + 1);
+  {
+    // A copy keeps the table alive after the original is gone.
+    const ReuseProfile copy = *holder;
+    holder.reset();
+    const ReuseProfile equal(components, 0.23);
+    EXPECT_EQ(&equal.Compiled(), &copy.Compiled());
+    EXPECT_EQ(ReuseProfile::CompiledBuildCount(), builds + 1);
+  }
+  // Every holder is gone: the registry kept only a weak reference, so the
+  // next equal profile compiles again.
+  const ReuseProfile fresh(components, 0.23);
+  fresh.Compiled();
+  EXPECT_EQ(ReuseProfile::CompiledBuildCount(), builds + 2);
+}
+
+TEST(CompiledMrcTest, ConcurrentResolversOfOneContentShareOneBuild) {
+  // Four contents, each resolved by many tasks on 8 threads; every profile
+  // stays alive until the sweep ends, so each content builds exactly once.
+  constexpr size_t kContents = 4;
+  constexpr size_t kTasks = 64;
+  const uint64_t builds = ReuseProfile::CompiledBuildCount();
+  std::vector<std::optional<ReuseProfile>> profiles(kTasks);
+  std::vector<const CompiledMrc*> tables(kTasks, nullptr);
+  ParallelConfig config;
+  config.num_threads = 8;
+  ParallelFor(config, kTasks, [&](size_t i) {
+    const double weight = 0.5 + 0.01 * static_cast<double>(i % kContents);
+    profiles[i].emplace(std::vector<ReuseComponent>{{weight, MiB(7)}}, 0.11);
+    tables[i] = &profiles[i]->Compiled();
+  });
+  for (size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(tables[i], tables[i % kContents]) << "task " << i;
+  }
+  EXPECT_EQ(std::set<const CompiledMrc*>(tables.begin(), tables.end()).size(),
+            kContents);
+  EXPECT_EQ(ReuseProfile::CompiledBuildCount(), builds + kContents);
 }
 
 TEST(CompiledMrcTest, HigherDensityTightensTheTable) {

@@ -2,6 +2,7 @@
 // controller's drift-triggered re-adaptation (paper §5.4.3).
 #include <gtest/gtest.h>
 
+#include "cache/miss_ratio_curve.h"
 #include "common/units.h"
 #include "core/resource_manager.h"
 #include "machine/simulated_machine.h"
@@ -183,6 +184,50 @@ TEST(WorkloadPhaseTest, ManagerReAdaptsOnPhaseChange) {
   run(40);  // Crosses into phase B at t = 60 s.
   EXPECT_GT(manager.adaptations_started(), adaptations_before)
       << "phase change did not re-trigger adaptation";
+}
+
+TEST(WorkloadPhaseTest, ResidentPhasedAppCompilesEachPhaseCurveOnce) {
+  // A resident phased app crosses a phase boundary every second while a
+  // neighbor launches and exits beside it (each launch or exit rebuilds
+  // every app's phase params) and one Snapshot/Restore rewinds it across a
+  // boundary. Once both phases and the neighbor have been seen, nothing
+  // compiles a miss-ratio curve again: the app keeps one profile per phase
+  // and every refresh copies it, table included.
+  MachineConfig config;
+  config.ips_noise_sigma = 0.0;
+  SimulatedMachine machine(config);
+  Result<AppId> resident = machine.LaunchApp(PhasedScanCompute(1.0), 4);
+  ASSERT_TRUE(resident.ok());
+  const WorkloadDescriptor neighbor = Sp();
+  auto cycle_neighbor = [&] {
+    Result<AppId> app = machine.LaunchApp(neighbor, 2);
+    ASSERT_TRUE(app.ok());
+    machine.AdvanceTime(0.25);
+    ASSERT_TRUE(machine.TerminateApp(*app).ok());
+  };
+  // First full phase cycle: compute (t < 1), scan (1 <= t < 2).
+  cycle_neighbor();
+  for (int step = 0; step < 7; ++step) {
+    machine.AdvanceTime(0.25);
+  }
+  const uint64_t builds = ReuseProfile::CompiledBuildCount();
+
+  // Thirteen more crossings (t = 2 .. 15), with the neighbor coming and
+  // going in each phase.
+  for (int crossing = 0; crossing < 13; ++crossing) {
+    cycle_neighbor();
+    machine.AdvanceTime(0.75);
+  }
+  // Rewind across a boundary: snapshot in the scan phase, advance into the
+  // compute phase, restore.
+  machine.AdvanceTime(0.5);  // t = 15.5: scan phase.
+  const MachineSnapshot snapshot = machine.Snapshot();
+  machine.AdvanceTime(0.75);  // t = 16.25: compute phase.
+  const double compute_miss_ratio = machine.LastEpoch(*resident).miss_ratio;
+  machine.Restore(snapshot);
+  machine.AdvanceTime(0.1);  // t = 15.6: scan phase again.
+  EXPECT_GT(machine.LastEpoch(*resident).miss_ratio, compute_miss_ratio * 2.0);
+  EXPECT_EQ(ReuseProfile::CompiledBuildCount(), builds);
 }
 
 }  // namespace

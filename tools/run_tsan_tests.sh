@@ -3,11 +3,12 @@
 #
 # Usage: tools/run_tsan_tests.sh [build-dir]
 #
-# The parallel sweep engine is the only multi-threaded code in the tree, so
-# this focuses on the tests that exercise it: the pool/ParallelFor unit
-# tests, the cross-thread-count determinism suite, the golden sweep, and
-# the RNG splitter. tools/run_asan_tests.sh runs the full suite under
-# ASan+UBSan instead.
+# The parallel sweep engine and the compiled-MRC registry its workers share
+# are the only multi-threaded code in the tree, so this focuses on the tests
+# that exercise them: the pool/ParallelFor unit tests, the registry's
+# interning suite, the cross-thread-count determinism suite, the golden
+# sweep, and the RNG splitter. tools/run_asan_tests.sh runs the full suite
+# under ASan+UBSan instead.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,6 +25,10 @@ TESTS=(
   # outer pool. Both must stay race-free and thread-count-invariant.
   cluster_test
   cluster_chaos_test
+  # Compiled miss-ratio curves are interned in one process-wide registry
+  # that pool workers resolve concurrently; the suite races 8 threads on
+  # shared keys.
+  cache_compiled_mrc_test
   common_parallel_test
   common_rng_test
   core_chaos_property_test

@@ -1,6 +1,7 @@
 #include "cache/compiled_mrc.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "cache/miss_ratio_curve.h"
@@ -88,6 +89,7 @@ CompiledMrc::CompiledMrc(const ReuseProfile& profile,
                    capacities.end());
 
   const size_t n = capacities.size();
+  CHECK_LE(n, 65535u) << "too many MRC nodes for the 16-bit segment index";
   x_.resize(n);
   y_.resize(n);
   for (size_t i = 0; i < n; ++i) {
@@ -108,6 +110,26 @@ CompiledMrc::CompiledMrc(const ReuseProfile& profile,
     if (y_[i - 1] - y_[i] < 1e-9) {
       y_[i] = y_[i - 1];
     }
+  }
+
+  // Segment index: for each bucket, the first node at or above the
+  // bucket's smallest capacity.
+  min_octave_ =
+      static_cast<uint32_t>(std::bit_width(min_capacity_bytes_) - 1);
+  const auto max_octave =
+      static_cast<uint32_t>(std::bit_width(max_capacity_bytes_) - 1);
+  bucket_first_.resize(static_cast<size_t>(max_octave - min_octave_ + 1)
+                       << kBucketBits);
+  for (size_t b = 0; b < bucket_first_.size(); ++b) {
+    const uint32_t octave =
+        min_octave_ + static_cast<uint32_t>(b >> kBucketBits);
+    const uint64_t lead = (uint64_t{1} << kBucketBits) | (b & kBucketMask);
+    const uint64_t lowest = octave >= kBucketBits
+                                ? lead << (octave - kBucketBits)
+                                : lead >> (kBucketBits - octave);
+    bucket_first_[b] = static_cast<uint16_t>(
+        std::lower_bound(capacities.begin(), capacities.end(), lowest) -
+        capacities.begin());
   }
 
   // PCHIP (Fritsch-Carlson) node slopes.
@@ -149,13 +171,32 @@ CompiledMrc::CompiledMrc(const ReuseProfile& profile,
   }
 }
 
+size_t CompiledMrc::Bucket(uint64_t capacity_bytes) const {
+  const auto octave =
+      static_cast<uint32_t>(std::bit_width(capacity_bytes) - 1);
+  const uint64_t lead = octave >= kBucketBits
+                            ? capacity_bytes >> (octave - kBucketBits)
+                            : capacity_bytes << (kBucketBits - octave);
+  return (static_cast<size_t>(octave - min_octave_) << kBucketBits) |
+         (lead & kBucketMask);
+}
+
 double CompiledMrc::Evaluate(uint64_t capacity_bytes) const {
   CHECK(Covers(capacity_bytes));
   const double lx = std::log(static_cast<double>(capacity_bytes));
-  // Segment lookup; clamp guards the lx == x_.back() edge.
-  size_t i = static_cast<size_t>(
-      std::upper_bound(x_.begin(), x_.end(), lx) - x_.begin());
-  i = std::clamp<size_t>(i, 1, x_.size() - 1) - 1;
+  // Every node before the bucket's first has a smaller integer capacity,
+  // hence (log being monotone) a log at or below lx, so scanning on to the
+  // first node above lx finds exactly what upper_bound over x_ would.
+  size_t upper = bucket_first_[Bucket(capacity_bytes)];
+  while (upper < x_.size() && x_[upper] <= lx) {
+    ++upper;
+  }
+  return Interpolate(upper, lx);
+}
+
+double CompiledMrc::Interpolate(size_t upper, double lx) const {
+  // Clamp guards the lx == x_.back() edge.
+  const size_t i = std::clamp<size_t>(upper, 1, x_.size() - 1) - 1;
 
   const double h = x_[i + 1] - x_[i];
   const double t = std::clamp((lx - x_[i]) / h, 0.0, 1.0);

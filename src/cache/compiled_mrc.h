@@ -21,6 +21,12 @@
 // back to the exact solve (capacity 0 and multi-GiB what-if probes are not
 // hot).
 //
+// The segment lookup is O(1): a bucket index keyed by the query's integer
+// capacity (its floor log2 and the next six bits, 64 buckets per octave)
+// names the first node that can lie above it, and a short forward scan over
+// the log nodes finishes the search. It lands on exactly the segment a
+// binary search over the nodes would, so results are bit-identical.
+//
 // Accuracy at the default density is ~1e-5 relative, validated against the
 // exact solver over randomized mixtures in tests/cache_compiled_mrc_test.cc
 // (required bound: 1e-4 everywhere).
@@ -41,7 +47,8 @@ struct CompiledMrcOptions {
   // of mixtures the workload surrogates use (see the property test); the
   // binding constraint is the knee where a mixture approaches its total
   // footprint and the curve bends fastest. Query cost is independent of the
-  // density (binary search), build cost is linear and paid once.
+  // density (bucket index), build cost is linear and paid once. The table
+  // may hold at most 65535 nodes.
   uint32_t samples_per_decade = 256;
   // Grid span. Queries below/above fall back to the exact solve; the upper
   // bound is automatically extended to 8x the profile's total footprint so
@@ -71,6 +78,20 @@ class CompiledMrc {
   uint64_t max_capacity_bytes() const { return max_capacity_bytes_; }
 
  private:
+  // Buckets per octave of capacity: 2^kBucketBits.
+  static constexpr uint32_t kBucketBits = 6;
+  static constexpr uint64_t kBucketMask = (uint64_t{1} << kBucketBits) - 1;
+
+  // Index into bucket_first_ of a covered capacity.
+  size_t Bucket(uint64_t capacity_bytes) const;
+
+  // The monotone cubic on the segment ending at node `upper` (the first
+  // node above lx, clamped into the table), evaluated at lx = ln(capacity).
+  double Interpolate(size_t upper, double lx) const;
+
+  // Reads the nodes to check the bucket lookup against a binary search.
+  friend class CompiledMrcTestPeer;
+
   uint64_t min_capacity_bytes_ = 0;
   uint64_t max_capacity_bytes_ = 0;
   // Interpolation nodes: x_ = ln(capacity_bytes), y_ = exact miss ratio
@@ -78,6 +99,12 @@ class CompiledMrc {
   std::vector<double> x_;
   std::vector<double> y_;
   std::vector<double> slope_;
+  // Segment index over the octaves from min_octave_ to the max capacity's:
+  // bucket_first_[b] is the first node whose integer capacity is at least
+  // the smallest capacity in bucket b, so every earlier node lies at or
+  // below any query in the bucket.
+  uint32_t min_octave_ = 0;
+  std::vector<uint16_t> bucket_first_;
 };
 
 }  // namespace copart

@@ -234,6 +234,9 @@ ClusterNode* Cluster::PickNode(const WorkloadDescriptor& workload,
       }
       return best;
     }
+    case PlacementPolicy::kCount:
+      LOG_FATAL << "kCount is a sentinel, not a placement policy";
+      __builtin_unreachable();
   }
   return nullptr;
 }

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "membw/mba_throttle_model.h"
 
 namespace copart {
 namespace {
@@ -497,10 +496,8 @@ bool ResourceManager::ObserveUnfairnessTrend(double unfairness) {
 }
 
 double ResourceManager::StreamMissRateReference(MbaLevel level) const {
-  const MachineConfig& config = resctrl_->machine().config();
-  const MbaThrottleModel throttle(config.mba_cap_exponent);
-  return throttle.CapFraction(level) * config.total_memory_bandwidth /
-         config.llc.line_bytes;
+  const SimulatedMachine& machine = resctrl_->machine();
+  return machine.MbaCapBytesPerSec(level) / machine.config().llc.line_bytes;
 }
 
 // --- Transactional actuation ---

@@ -33,6 +33,17 @@ SimulatedMachine::SimulatedMachine(const MachineConfig& config)
     state.way_mask = WayMask::Contiguous(0, config_.llc.num_ways);
     state.mba_level = MbaLevel();  // 100%
   }
+  for (uint32_t percent = MbaLevel::kMin; percent <= MbaLevel::kMax;
+       percent += MbaLevel::kStep) {
+    mba_cap_bps_[percent / MbaLevel::kStep] =
+        throttle_model_.CapFraction(MbaLevel::FromPercentChecked(percent)) *
+        config_.total_memory_bandwidth;
+  }
+}
+
+uint64_t SimulatedMachine::AllWays() const {
+  const uint32_t ways = config_.llc.num_ways;
+  return ways >= 64 ? ~0ull : (1ull << ways) - 1;
 }
 
 Result<AppId> SimulatedMachine::LaunchApp(const WorkloadDescriptor& descriptor,
@@ -60,6 +71,7 @@ Result<AppId> SimulatedMachine::LaunchApp(const WorkloadDescriptor& descriptor,
   ++app_generation_;
   ++input_generation_;
   ++capacity_generation_;
+  capacity_dirty_ways_ = AllWays();
   app_index_[app.id] = apps_.size();
   apps_.push_back(std::move(app));
   app_clos_.push_back(0);
@@ -94,6 +106,7 @@ Status SimulatedMachine::TerminateApp(AppId id) {
   ++app_generation_;
   ++input_generation_;
   ++capacity_generation_;
+  capacity_dirty_ways_ = AllWays();
   return Status::Ok();
 }
 
@@ -142,6 +155,9 @@ void SimulatedMachine::SetClosWayMask(uint32_t clos, const WayMask& mask) {
   if (clos_[clos].way_mask == mask) {
     return;  // No observable change: keep the cached solve valid.
   }
+  // Sharers of both the ways the CLOS leaves and the ways it joins see a
+  // new split.
+  capacity_dirty_ways_ |= clos_[clos].way_mask.bits() | mask.bits();
   clos_[clos].way_mask = mask;
   ++input_generation_;
   ++capacity_generation_;
@@ -162,6 +178,9 @@ void SimulatedMachine::AssignAppToClos(AppId id, uint32_t clos) {
   if (app_clos_[index] == clos) {
     return;
   }
+  // Both CLOSes' fill weights change (one may empty, one may fill).
+  capacity_dirty_ways_ |=
+      clos_[app_clos_[index]].way_mask.bits() | clos_[clos].way_mask.bits();
   app_clos_[index] = clos;
   ++input_generation_;
   ++capacity_generation_;
@@ -278,6 +297,7 @@ void SimulatedMachine::RefreshEffectiveParams() {
       params_cache_[i] = EffectiveParamsFor(app, phase_index);
       // A phase crossing changes the solve inputs, including the profile
       // and access intensity the capacity fixed point reads.
+      capacity_dirty_ways_ |= clos_[app_clos_[i]].way_mask.bits();
       ++input_generation_;
       ++capacity_generation_;
     }
@@ -322,8 +342,7 @@ void SimulatedMachine::RefreshSoaInputs() {
     soa_kappa_[i] = app.descriptor.mba_kappa;
     const MbaLevel level = clos_[app_clos_[i]].mba_level;
     soa_mba_term_[i] = 100.0 / level.percent() - 1.0;
-    soa_cap_bps_[i] =
-        throttle_model_.CapFraction(level) * config_.total_memory_bandwidth;
+    soa_cap_bps_[i] = MbaCapBytesPerSec(level);
     const double throttled = 1.0 - prefetch_percent_[i] / 100.0;
     soa_pf_lat_[i] = 1.0 + config_.prefetch_latency_penalty * throttled;
     soa_pf_bw_[i] = 1.0 - config_.prefetch_bw_share * throttled;
@@ -334,6 +353,7 @@ void SimulatedMachine::RefreshSoaInputs() {
 
 void SimulatedMachine::SolveEffectiveCapacities() {
   const size_t n = apps_.size();
+  capacity_app_solves_ += n;
   scratch_capacities_.assign(n, 0.0);
   if (n == 0) {
     return;
@@ -405,7 +425,8 @@ void SimulatedMachine::SolveEffectiveCapacities() {
 
 void SimulatedMachine::SolveEffectiveCapacitiesVectorized() {
   const size_t n = apps_.size();
-  scratch_capacities_.assign(n, 0.0);
+  scratch_capacities_.resize(n);
+  scratch_dirty_apps_.clear();
   if (n == 0) {
     return;
   }
@@ -421,17 +442,52 @@ void SimulatedMachine::SolveEffectiveCapacitiesVectorized() {
     }
   }
 
+  // Close the dirty ways over sharing: a CLOS touching any dirty way has
+  // every one of its ways re-split. Afterwards each way's sharers are
+  // either all dirty or all clean, and a clean group's fixed point — a
+  // function of its own masks, members and phase params alone — is still
+  // the cached one.
+  uint64_t dirty = capacity_dirty_ways_;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const uint32_t clos : scratch_active_clos_) {
+      const uint64_t mask = clos_mask_bits_[clos];
+      if ((mask & dirty) != 0 && (mask & ~dirty) != 0) {
+        dirty |= mask;
+        grew = true;
+      }
+    }
+  }
+  // Solve only the dirty CLOSes, in first-appearance order, and their apps
+  // in index order: every per-CLOS and per-way sum then adds exactly the
+  // terms of a whole-machine solve, in the same order.
+  std::erase_if(scratch_active_clos_, [&](uint32_t clos) {
+    return (clos_mask_bits_[clos] & dirty) == 0;
+  });
+  for (size_t i = 0; i < n; ++i) {
+    if ((clos_mask_bits_[app_clos_[i]] & dirty) != 0) {
+      scratch_dirty_apps_.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  capacity_app_solves_ += scratch_dirty_apps_.size();
+
   scratch_miss_ratios_.resize(n);
-  scratch_weights_.assign(n, 1.0);
+  scratch_weights_.resize(n);
+  for (const uint32_t i : scratch_dirty_apps_) {
+    scratch_weights_[i] = 1.0;
+  }
   for (int iteration = 0; iteration <= kCapacityIterations; ++iteration) {
     for (const uint32_t clos : scratch_active_clos_) {
       scratch_clos_weight_[clos] = 0.0;
       scratch_clos_capacity_[clos] = 0.0;
     }
-    for (size_t i = 0; i < n; ++i) {
+    for (const uint32_t i : scratch_dirty_apps_) {
       scratch_clos_weight_[app_clos_[i]] += scratch_weights_[i];
     }
     for (uint32_t way = 0; way < config_.llc.num_ways; ++way) {
+      if (((dirty >> way) & 1u) == 0) {
+        continue;  // No dirty CLOS holds it.
+      }
       double total_weight = 0.0;
       for (const uint32_t clos : scratch_active_clos_) {
         if ((clos_mask_bits_[clos] >> way) & 1u) {
@@ -448,7 +504,7 @@ void SimulatedMachine::SolveEffectiveCapacitiesVectorized() {
         }
       }
     }
-    for (size_t i = 0; i < n; ++i) {
+    for (const uint32_t i : scratch_dirty_apps_) {
       scratch_capacities_[i] = scratch_clos_capacity_[app_clos_[i]] *
                                scratch_weights_[i] /
                                scratch_clos_weight_[app_clos_[i]];
@@ -458,11 +514,11 @@ void SimulatedMachine::SolveEffectiveCapacitiesVectorized() {
     }
     // Miss-ratio queries stay a scalar loop (table walk per app); the weight
     // refinement is elementwise over the flat arrays.
-    for (size_t i = 0; i < n; ++i) {
+    for (const uint32_t i : scratch_dirty_apps_) {
       scratch_miss_ratios_[i] = params_cache_[i].profile.MissRatio(
           static_cast<uint64_t>(scratch_capacities_[i]), config_.mrc_mode);
     }
-    for (size_t i = 0; i < n; ++i) {
+    for (const uint32_t i : scratch_dirty_apps_) {
       scratch_weights_[i] = soa_cores_hz_[i] / soa_cpi_exec_[i] * soa_api_[i] *
                                 scratch_miss_ratios_[i] +
                             1e-6;
@@ -548,11 +604,9 @@ void SimulatedMachine::SolveEpochVectorized(bool capacity_clean) {
   // membership and phase params), so skip it.
   if (!capacity_clean) {
     SolveEffectiveCapacitiesVectorized();
-    for (size_t i = 0; i < n; ++i) {
+    for (const uint32_t i : scratch_dirty_apps_) {
       solved_miss_ratio_[i] = params_cache_[i].profile.MissRatio(
           static_cast<uint64_t>(scratch_capacities_[i]), config_.mrc_mode);
-    }
-    for (size_t i = 0; i < n; ++i) {
       solved_capacity_[i] = scratch_capacities_[i];
     }
   }
@@ -647,6 +701,9 @@ void SimulatedMachine::AdvanceTime(double dt) {
   RefreshEffectiveParams();
   if (!config_.incremental_epochs || !solved_valid_ ||
       solved_input_generation_ != input_generation_) {
+    if (!config_.incremental_epochs || !solved_valid_) {
+      capacity_dirty_ways_ = AllWays();  // Nothing cached to keep.
+    }
     RefreshSoaInputs();
     if (config_.epoch_kernel == EpochKernel::kScalar) {
       SolveEpochScalar();
@@ -667,6 +724,9 @@ void SimulatedMachine::AdvanceTime(double dt) {
     solved_input_generation_ = input_generation_;
     solved_capacity_generation_ = capacity_generation_;
     solved_valid_ = true;
+    // Every solve leaves the cached capacities current: a capacity-dirty
+    // one re-solved the dirty groups, a partial one found none.
+    capacity_dirty_ways_ = 0;
   }
   CommitEpoch(dt);
 }
@@ -710,6 +770,9 @@ void SimulatedMachine::Restore(const MachineSnapshot& snapshot) {
   solved_input_generation_ = snapshot.solved_input_generation;
   solved_capacity_generation_ = snapshot.solved_capacity_generation;
   solved_valid_ = snapshot.solved_valid;
+  // The restored masks and membership may differ from the live ones
+  // anywhere; the next capacity solve re-solves every way-group.
+  capacity_dirty_ways_ = AllWays();
   config_.ips_noise_sigma = snapshot.ips_noise_sigma;
   rng_ = snapshot.rng;
   clos_ = snapshot.clos;

@@ -33,15 +33,20 @@
 // arrives with an unchanged generation it skips the coupled solve entirely
 // and replays the stored fixed point (CommitEpoch) — bit-identical to
 // re-solving, including the per-epoch noise stream. The dirty set is
-// two-tier: the shared-capacity fixed point (step 1, all the miss-ratio
+// three-tier: the shared-capacity fixed point (step 1, all the miss-ratio
 // queries) reads only masks, CLOS membership and phase params, so a
 // mutation touching nothing but MBA levels or required-IPS caps re-runs
 // just the cheap elementwise CPI/arbitration passes against the cached
 // capacities and miss ratios — bit-identical to a full solve, at a
 // fraction of the cost (this is the common move in MBA coordinate-descent
-// searches). Fully dirty ticks run either the vectorized SoA kernel or the
-// scalar reference kernel (MachineConfig::epoch_kernel); both produce
-// bit-identical results.
+// searches). Capacity-tier mutations record the ways they touch, and the
+// vectorized kernel re-solves the fixed point only for the way-groups that
+// moved: CLOSes sharing no way with a dirty one keep their cached
+// capacities and miss ratios, again bit-identically (the fixed point never
+// reads across a closed way-group). Capacity-dirty ticks run either the
+// vectorized SoA kernel or the scalar reference kernel
+// (MachineConfig::epoch_kernel), which always solves every app; both
+// produce bit-identical results.
 // Snapshot()/Restore() copy the mutable value state (partitioning, counters,
 // RNG, last solved fixed point) in O(apps + clos), independent of simulated
 // history, so what-if evaluation can roll one machine back instead of
@@ -49,6 +54,7 @@
 #ifndef COPART_MACHINE_SIMULATED_MACHINE_H_
 #define COPART_MACHINE_SIMULATED_MACHINE_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -164,6 +170,12 @@ class SimulatedMachine {
   MbaLevel ClosMbaLevel(uint32_t clos) const;
   uint32_t AppClos(AppId id) const;
 
+  // Bandwidth cap a CLOS at `level` may inject, in bytes/s (the
+  // MbaThrottleModel cap fraction of the controller's total bandwidth).
+  double MbaCapBytesPerSec(MbaLevel level) const {
+    return mba_cap_bps_[level.percent() / MbaLevel::kStep];
+  }
+
   // --- Work limiting (latency-critical apps) ---
 
   // Caps the app's executed IPS at `required_ips` (open-loop offered load);
@@ -199,9 +211,17 @@ class SimulatedMachine {
   // are bit-identical to a machine that never diverged.
   void Restore(const MachineSnapshot& snapshot);
 
-  // Number of full coupled solves since construction. Steady-state epochs
-  // served by the incremental fast path do not increment it.
+  // Number of full coupled solves since construction: epochs whose
+  // capacity-tier inputs changed, however few way-groups that re-solved.
+  // Steady-state epochs served by the incremental fast path do not
+  // increment it.
   uint64_t full_solves() const { return full_solves_; }
+
+  // Apps whose capacity fixed point was re-solved, summed over all full
+  // solves. The vectorized incremental kernel re-solves only the apps of
+  // CLOSes sharing ways with a capacity-tier mutation, so this stays below
+  // apps x full_solves() whenever the clean way-groups were skipped.
+  uint64_t capacity_app_solves() const { return capacity_app_solves_; }
 
   // Number of partial re-solves: epochs whose inputs changed only in the
   // bandwidth tier (MBA levels, required-IPS caps), which reuse the cached
@@ -282,8 +302,15 @@ class SimulatedMachine {
   // O(ways * apps). Scalar reference implementation.
   void SolveEffectiveCapacities();
   // Same fixed point over the flat SoA arrays (cached mask bits, split
-  // elementwise loops); bit-identical to the scalar version.
+  // elementwise loops), restricted to the way-groups that moved:
+  // capacity_dirty_ways_ is closed over way sharing, and only the apps of
+  // the CLOSes it touches (listed in scratch_dirty_apps_) are re-solved.
+  // Bit-identical to the scalar version for those apps.
   void SolveEffectiveCapacitiesVectorized();
+
+  // Every way of the LLC as a mask: the dirty set of a mutation that may
+  // move any app's capacity (launch, terminate, restore).
+  uint64_t AllWays() const;
 
   // Full coupled solve for the current inputs; writes the pre-noise fixed
   // point into the solved_* arrays. The scalar kernel mirrors the original
@@ -296,7 +323,7 @@ class SimulatedMachine {
   // solve — valid exactly when no capacity-tier input changed since
   // (solved_capacity_generation_ == capacity_generation_) and bit-identical
   // to a full solve because the fixed point is a pure function of those
-  // inputs.
+  // inputs. Otherwise only the apps of dirty way-groups are re-solved.
   void SolveEpochScalar();
   void SolveEpochVectorized(bool capacity_clean);
 
@@ -315,6 +342,9 @@ class SimulatedMachine {
 
   MachineConfig config_;
   MbaThrottleModel throttle_model_;
+  // MbaCapBytesPerSec by level percent / kStep; one std::pow per level at
+  // construction instead of one per app per SoA rebuild.
+  std::array<double, MbaLevel::kMax / MbaLevel::kStep + 1> mba_cap_bps_{};
   BandwidthArbiter arbiter_;
   Rng rng_;
   double now_ = 0.0;
@@ -356,6 +386,11 @@ class SimulatedMachine {
   // point (masks, membership, launch/terminate, phase crossings) — NOT by
   // MBA or required-IPS changes, which only affect the bandwidth tier.
   uint64_t capacity_generation_ = 0;
+  // Ways whose sharers may have changed since the last capacity solve: the
+  // old and new mask of a rewritten CLOS, the old and new CLOS mask of a
+  // moved app, the CLOS mask of an app crossing a phase; every way on
+  // launch, terminate and restore. Cleared by every solve.
+  uint64_t capacity_dirty_ways_ = 0;
   // Generations the solved_* arrays were computed at, and whether they hold
   // a converged fixed point at all.
   uint64_t solved_input_generation_ = 0;
@@ -363,6 +398,7 @@ class SimulatedMachine {
   bool solved_valid_ = false;
   uint64_t full_solves_ = 0;
   uint64_t partial_solves_ = 0;
+  uint64_t capacity_app_solves_ = 0;
 
   // --- SoA model inputs (valid while the stamps below match) ---
   std::vector<double> soa_cores_hz_;   // num_cores * core_freq_hz
@@ -396,6 +432,7 @@ class SimulatedMachine {
   std::vector<double> scratch_clos_weight_;
   std::vector<double> scratch_clos_capacity_;
   std::vector<uint32_t> scratch_active_clos_;
+  std::vector<uint32_t> scratch_dirty_apps_;
   std::vector<double> scratch_miss_ratios_;
   std::vector<double> scratch_mpis_;
   std::vector<BandwidthRequest> scratch_requests_;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <set>
 #include <string>
@@ -21,7 +22,34 @@
 #include "workload/workload.h"
 
 namespace copart {
+
+// Reads CompiledMrc's nodes: the reference segment lookup is the binary
+// search over the log nodes that the bucket index replaced.
+class CompiledMrcTestPeer {
+ public:
+  static double EvaluateByUpperBound(const CompiledMrc& mrc,
+                                     uint64_t capacity_bytes) {
+    const double lx = std::log(static_cast<double>(capacity_bytes));
+    const auto upper = static_cast<size_t>(
+        std::upper_bound(mrc.x_.begin(), mrc.x_.end(), lx) - mrc.x_.begin());
+    return mrc.Interpolate(upper, lx);
+  }
+
+  // The integer capacity each node was solved at.
+  static std::vector<uint64_t> NodeCapacities(const CompiledMrc& mrc) {
+    std::vector<uint64_t> capacities;
+    for (const double lx : mrc.x_) {
+      capacities.push_back(static_cast<uint64_t>(std::llround(std::exp(lx))));
+    }
+    return capacities;
+  }
+};
+
 namespace {
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
 
 // The accuracy contract of the compiled fast path: relative error <= 1e-4
 // wherever the exact value is non-negligible, absolute error <= 1e-5 below
@@ -230,6 +258,50 @@ TEST(CompiledMrcTest, HigherDensityTightensTheTable) {
   }
   EXPECT_LT(fine_err, coarse_err);
   EXPECT_LE(fine_err, 1e-5);
+}
+
+TEST(CompiledMrcTest, BucketLookupMatchesBinarySearchBitForBit) {
+  // Every node capacity and its neighbours (segment edges), the grid ends,
+  // and log-uniform random capacities, across grid densities from sparse
+  // (empty buckets) to dense (long scans) and a grid reaching below the
+  // 64-byte octave where a capacity has fewer than six bits after its lead.
+  std::vector<CompiledMrcOptions> grids(4);
+  grids[1].samples_per_decade = 8;
+  grids[2].samples_per_decade = 4096;
+  grids[3].min_capacity_bytes = 1;
+  std::vector<WorkloadDescriptor> profiles = AllTable2Benchmarks();
+  profiles.push_back(Stream());
+  Rng rng(0x5E6);
+  for (size_t g = 0; g < grids.size(); ++g) {
+    for (const WorkloadDescriptor& descriptor : profiles) {
+      SCOPED_TRACE(descriptor.name + " grid " + std::to_string(g));
+      const CompiledMrc table(descriptor.reuse_profile, grids[g]);
+      std::vector<uint64_t> capacities = {table.min_capacity_bytes(),
+                                          table.max_capacity_bytes()};
+      for (const uint64_t node : CompiledMrcTestPeer::NodeCapacities(table)) {
+        capacities.insert(capacities.end(), {node - 1, node, node + 1});
+      }
+      const double lo =
+          std::log(static_cast<double>(table.min_capacity_bytes()));
+      const double hi =
+          std::log(static_cast<double>(table.max_capacity_bytes()));
+      for (int i = 0; i < 10000; ++i) {
+        capacities.push_back(static_cast<uint64_t>(
+            std::exp(lo + (hi - lo) * rng.NextDouble())));
+      }
+      for (const uint64_t capacity : capacities) {
+        if (!table.Covers(capacity)) {
+          continue;
+        }
+        const double got = table.Evaluate(capacity);
+        const double want =
+            CompiledMrcTestPeer::EvaluateByUpperBound(table, capacity);
+        ASSERT_TRUE(SameBits(got, want))
+            << "capacity " << capacity << ": bucket=" << got
+            << " binary search=" << want;
+      }
+    }
+  }
 }
 
 TEST(CompiledMrcTest, CoversReportsGridRange)  {

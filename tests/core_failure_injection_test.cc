@@ -94,7 +94,11 @@ TEST_F(FailureInjectionTest, AllAppsDie) {
   EXPECT_EQ(manager_.phase(), ResourceManager::Phase::kIdle);
   // The manager's groups were reclaimed: a full set is creatable again.
   for (int i = 0; i < 15; ++i) {
-    ASSERT_TRUE(resctrl_.CreateGroup("g" + std::to_string(i)).ok()) << i;
+    // std::string("g") rather than a bare literal: GCC 12 reports a false
+    // -Wrestrict on `"literal" + std::string&&` inlined into test bodies.
+    ASSERT_TRUE(
+        resctrl_.CreateGroup(std::string("g") + std::to_string(i)).ok())
+        << i;
   }
 }
 

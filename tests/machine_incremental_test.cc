@@ -8,14 +8,18 @@
 //     caps) take a partial solve that reuses the cached capacity fixed
 //     point;
 //   - capacity-tier mutations (way masks, CLOS membership, launch/terminate,
-//     phase crossings) force a full solve;
+//     phase crossings) force a full solve, which the vectorized incremental
+//     kernel scopes to the way-groups that moved (capacity_app_solves());
 //   - value-identical mutator writes dirty nothing;
 //   - the scalar reference kernel and incremental_epochs=false always solve
 //     in full.
 // Whatever tier an epoch takes, the outputs must be bit-identical across all
-// kernel configurations — the twin-machine test at the bottom locks that in
-// over a randomized mutation schedule including a phased workload, noise and
-// required-IPS flips.
+// kernel configurations — the twin-machine tests at the bottom lock that in
+// over randomized mutation schedules: mask, MBA and required-IPS churn with
+// a phased workload and noise, and a way-scoped schedule of CLOS moves,
+// shared ways, emptying CLOSes, phase crossings, snapshot/restore and
+// launch/terminate.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -192,6 +196,32 @@ TEST(MachineIncrementalTest, ScalarKernelNeverTakesPartialTier) {
   EXPECT_EQ(machine.partial_solves(), 0u);
 }
 
+TEST(MachineIncrementalTest, DisjointWayGroupsResolveAlone) {
+  // Three CLOSes on disjoint masks form three way-groups: moving one
+  // group's mask re-solves only that group's app; widening it onto a
+  // neighbour's ways pulls the neighbour in.
+  SimulatedMachine machine(VectorizedIncremental());
+  LaunchThreeSteadyApps(machine);
+  machine.SetClosWayMask(1, WayMask::Contiguous(0, 3));
+  machine.SetClosWayMask(2, WayMask::Contiguous(3, 3));
+  machine.SetClosWayMask(3, WayMask::Contiguous(6, 3));
+  machine.AdvanceTime(0.1);
+  ASSERT_EQ(machine.full_solves(), 1u);
+  ASSERT_EQ(machine.capacity_app_solves(), 3u);
+
+  machine.SetClosWayMask(3, WayMask::Contiguous(7, 3));
+  machine.AdvanceTime(0.1);
+  EXPECT_EQ(machine.full_solves(), 2u);
+  EXPECT_EQ(machine.capacity_app_solves(), 4u)
+      << "only CLOS 3's app shares a way with the moved mask";
+
+  machine.SetClosWayMask(3, WayMask::Contiguous(5, 3));
+  machine.AdvanceTime(0.1);
+  EXPECT_EQ(machine.full_solves(), 3u);
+  EXPECT_EQ(machine.capacity_app_solves(), 6u)
+      << "way 5 is shared with CLOS 2, whose app joins the re-solve";
+}
+
 TEST(MachineIncrementalTest, ForcedDirtyAlwaysResolves) {
   // Alternating a CLOS mask between two values every epoch defeats the
   // cache entirely: every tick must be a fresh full solve, and the counter
@@ -207,6 +237,55 @@ TEST(MachineIncrementalTest, ForcedDirtyAlwaysResolves) {
   EXPECT_EQ(machine.full_solves(), 21u);
 }
 
+// The four kernel configurations, in KernelTwins order.
+constexpr const char* kTwinNames[] = {"vectorized_incremental",
+                                      "vectorized_full", "scalar_incremental",
+                                      "scalar_full"};
+
+// One machine per kernel configuration, all on `base` otherwise.
+std::vector<SimulatedMachine> KernelTwins(const MachineConfig& base) {
+  std::vector<SimulatedMachine> machines;
+  for (const EpochKernel kernel :
+       {EpochKernel::kVectorized, EpochKernel::kScalar}) {
+    for (const bool incremental : {true, false}) {
+      MachineConfig config = base;
+      config.epoch_kernel = kernel;
+      config.incremental_epochs = incremental;
+      machines.emplace_back(config);
+    }
+  }
+  return machines;
+}
+
+// Asserts every output of every app matches machines[0] bit for bit.
+void ExpectTwinsBitIdentical(const std::vector<SimulatedMachine>& machines,
+                             const std::vector<std::vector<AppId>>& apps,
+                             int epoch) {
+  for (size_t m = 1; m < machines.size(); ++m) {
+    ASSERT_EQ(apps[m].size(), apps[0].size());
+    for (size_t i = 0; i < apps[0].size(); ++i) {
+      const AppEpochSnapshot& ref = machines[0].LastEpoch(apps[0][i]);
+      const AppEpochSnapshot& got = machines[m].LastEpoch(apps[m][i]);
+      const AppCounters& ref_counters = machines[0].Counters(apps[0][i]);
+      const AppCounters& got_counters = machines[m].Counters(apps[m][i]);
+      ASSERT_TRUE(SameBits(ref.ips, got.ips) &&
+                  SameBits(ref.ips_capability, got.ips_capability) &&
+                  SameBits(ref.miss_ratio, got.miss_ratio) &&
+                  SameBits(ref.effective_capacity_bytes,
+                           got.effective_capacity_bytes) &&
+                  SameBits(ref.bandwidth_demand_bytes_per_sec,
+                           got.bandwidth_demand_bytes_per_sec) &&
+                  SameBits(ref.bandwidth_grant_bytes_per_sec,
+                           got.bandwidth_grant_bytes_per_sec) &&
+                  SameBits(ref_counters.instructions,
+                           got_counters.instructions) &&
+                  SameBits(ref_counters.llc_misses, got_counters.llc_misses))
+          << "epoch " << epoch << " app " << i << ": " << kTwinNames[m]
+          << " diverged from " << kTwinNames[0];
+    }
+  }
+}
+
 // Twin-machine bit-identity: four machines with every kernel configuration
 // run the same randomized schedule (mask/MBA/required-IPS churn, a phased
 // workload crossing boundaries, multiplicative noise) and must agree
@@ -218,26 +297,8 @@ TEST_P(MachineIncrementalTwinTest, AllKernelConfigsBitIdentical) {
   base.mrc_mode = GetParam();
   base.ips_noise_sigma = 0.01;
 
-  struct Variant {
-    const char* name;
-    EpochKernel kernel;
-    bool incremental;
-  };
-  const Variant variants[] = {
-      {"vectorized_incremental", EpochKernel::kVectorized, true},
-      {"vectorized_full", EpochKernel::kVectorized, false},
-      {"scalar_incremental", EpochKernel::kScalar, true},
-      {"scalar_full", EpochKernel::kScalar, false},
-  };
-
-  std::vector<SimulatedMachine> machines;
-  std::vector<std::vector<AppId>> apps(4);
-  for (const Variant& variant : variants) {
-    MachineConfig config = base;
-    config.epoch_kernel = variant.kernel;
-    config.incremental_epochs = variant.incremental;
-    machines.emplace_back(config);
-  }
+  std::vector<SimulatedMachine> machines = KernelTwins(base);
+  std::vector<std::vector<AppId>> apps(machines.size());
   const std::vector<WorkloadDescriptor> workloads = {
       Sp(), Raytrace(), PhasedScanCompute(/*period_sec=*/1.0)};
   for (size_t m = 0; m < machines.size(); ++m) {
@@ -280,23 +341,8 @@ TEST_P(MachineIncrementalTwinTest, AllKernelConfigsBitIdentical) {
     for (SimulatedMachine& machine : machines) {
       machine.AdvanceTime(0.01);
     }
-    for (size_t m = 1; m < machines.size(); ++m) {
-      for (size_t i = 0; i < workloads.size(); ++i) {
-        const AppEpochSnapshot& ref = machines[0].LastEpoch(apps[0][i]);
-        const AppEpochSnapshot& got = machines[m].LastEpoch(apps[m][i]);
-        ASSERT_TRUE(SameBits(ref.ips, got.ips) &&
-                    SameBits(ref.ips_capability, got.ips_capability) &&
-                    SameBits(ref.miss_ratio, got.miss_ratio) &&
-                    SameBits(ref.effective_capacity_bytes,
-                             got.effective_capacity_bytes) &&
-                    SameBits(ref.bandwidth_demand_bytes_per_sec,
-                             got.bandwidth_demand_bytes_per_sec) &&
-                    SameBits(ref.bandwidth_grant_bytes_per_sec,
-                             got.bandwidth_grant_bytes_per_sec))
-            << "epoch " << epoch << " app " << i << ": " << variants[m].name
-            << " diverged from " << variants[0].name;
-      }
-    }
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectTwinsBitIdentical(machines, apps, epoch));
   }
 
   // The schedule must actually have exercised all three tiers on the
@@ -309,6 +355,127 @@ TEST_P(MachineIncrementalTwinTest, AllKernelConfigsBitIdentical) {
   // The full-solve variants solve every epoch.
   EXPECT_EQ(machines[1].full_solves(), 400u);
   EXPECT_EQ(machines[3].full_solves(), 400u);
+}
+
+// The way-scoped capacity tier: several apps per CLOS, apps hopping between
+// CLOSes (so CLOSes empty and refill), masks that overlap across CLOSes (so
+// dirty ways must be closed over sharing), phase crossings, a snapshot
+// restored mid-schedule and an app launched and terminated — all four
+// kernel configurations must still agree bit for bit.
+TEST_P(MachineIncrementalTwinTest, WayScopedScheduleBitIdentical) {
+  MachineConfig base;
+  base.mrc_mode = GetParam();
+  base.ips_noise_sigma = 0.01;
+
+  constexpr uint32_t kClosCount = 6;  // CLOS 1..6 host apps.
+
+  std::vector<SimulatedMachine> machines = KernelTwins(base);
+  std::vector<std::vector<AppId>> apps(machines.size());
+  const std::vector<WorkloadDescriptor> workloads = {
+      Sp(),
+      Raytrace(),
+      PhasedScanCompute(/*period_sec=*/0.7),
+      Cg(),
+      Ft(),
+      PhasedScanCompute(/*period_sec=*/1.3),
+      Swaptions(),
+      Fmm(),
+      Ep(),
+      Kmeans()};
+  const uint32_t num_ways = base.llc.num_ways;
+  for (size_t m = 0; m < machines.size(); ++m) {
+    for (uint32_t c = 1; c <= kClosCount; ++c) {
+      // Three-way masks stepping by two: neighbours share one way.
+      machines[m].SetClosWayMask(
+          c, WayMask::Contiguous(std::min(2 * (c - 1), num_ways - 3), 3));
+    }
+    for (size_t i = 0; i < workloads.size(); ++i) {
+      Result<AppId> app = machines[m].LaunchApp(workloads[i], 1);
+      ASSERT_TRUE(app.ok());
+      apps[m].push_back(*app);
+      machines[m].AssignAppToClos(
+          *app, 1 + static_cast<uint32_t>(i % kClosCount));
+    }
+  }
+
+  Rng rng(0x5C0BEDULL);
+  std::vector<MachineSnapshot> snapshots;
+  // Upper bound on the apps a whole-machine capacity solve would touch.
+  uint64_t full_solve_apps = 0;
+  for (int epoch = 0; epoch < 600; ++epoch) {
+    // Scripted epochs carry a single capacity-tier event each, so a dirty
+    // set that misses it cannot be covered by random churn.
+    if (epoch == 150) {
+      // Snapshot with a CLOS move still pending.
+      const uint32_t clos = machines[0].AppClos(apps[0][0]) % kClosCount + 1;
+      snapshots.clear();
+      for (size_t m = 0; m < machines.size(); ++m) {
+        machines[m].AssignAppToClos(apps[m][0], clos);
+        snapshots.push_back(machines[m].Snapshot());
+      }
+    } else if (epoch == 250) {
+      for (size_t m = 0; m < machines.size(); ++m) {
+        machines[m].Restore(snapshots[m]);
+      }
+    } else if (epoch == 350) {
+      // Launched into CLOS 0 and solved there for one epoch.
+      for (size_t m = 0; m < machines.size(); ++m) {
+        Result<AppId> app = machines[m].LaunchApp(Stream(), 1);
+        ASSERT_TRUE(app.ok());
+        apps[m].push_back(*app);
+      }
+    } else if (epoch == 351) {
+      for (size_t m = 0; m < machines.size(); ++m) {
+        machines[m].AssignAppToClos(apps[m].back(), 3);
+      }
+    } else if (epoch == 450) {
+      for (size_t m = 0; m < machines.size(); ++m) {
+        ASSERT_TRUE(machines[m].TerminateApp(apps[m][1]).ok());
+        apps[m].erase(apps[m].begin() + 1);
+      }
+    } else {
+      if (rng.NextBool(0.3)) {
+        const size_t app =
+            static_cast<size_t>(rng.NextUint64(apps[0].size()));
+        const auto clos = static_cast<uint32_t>(rng.NextInt(1, kClosCount));
+        for (size_t m = 0; m < machines.size(); ++m) {
+          machines[m].AssignAppToClos(apps[m][app], clos);
+        }
+      }
+      if (rng.NextBool(0.08)) {
+        const auto clos = static_cast<uint32_t>(rng.NextInt(1, kClosCount));
+        const auto width = static_cast<uint32_t>(rng.NextInt(1, 4));
+        const auto start = static_cast<uint32_t>(
+            rng.NextInt(0, static_cast<int64_t>(num_ways - width)));
+        for (SimulatedMachine& machine : machines) {
+          machine.SetClosWayMask(clos, WayMask::Contiguous(start, width));
+        }
+      }
+      if (rng.NextBool(0.05)) {
+        const auto clos = static_cast<uint32_t>(rng.NextInt(1, kClosCount));
+        const MbaLevel level = MbaLevel::FromPercentChecked(
+            10u * static_cast<uint32_t>(rng.NextInt(1, 10)));
+        for (SimulatedMachine& machine : machines) {
+          machine.SetClosMbaLevel(clos, level);
+        }
+      }
+    }
+    const uint64_t full_before = machines[0].full_solves();
+    for (SimulatedMachine& machine : machines) {
+      machine.AdvanceTime(0.01);
+    }
+    full_solve_apps +=
+        (machines[0].full_solves() - full_before) * apps[0].size();
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectTwinsBitIdentical(machines, apps, epoch));
+  }
+
+  // The way-scoped tier must have skipped clean groups, or the bit-identity
+  // above says nothing about it; the whole-machine variant never skips.
+  EXPECT_GT(machines[0].full_solves(), 100u);
+  EXPECT_LT(machines[0].capacity_app_solves(), full_solve_apps)
+      << "no capacity solve was scoped to the way-groups that moved";
+  EXPECT_EQ(machines[1].full_solves(), 600u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, MachineIncrementalTwinTest,

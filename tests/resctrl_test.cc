@@ -50,7 +50,11 @@ TEST_F(ResctrlTest, EmptyNameRejected) {
 TEST_F(ResctrlTest, GroupCountLimitedByClosCount) {
   // CLOS 0 is the default group; 15 more fit on the modeled CPU.
   for (int i = 0; i < 15; ++i) {
-    ASSERT_TRUE(resctrl_.CreateGroup("g" + std::to_string(i)).ok()) << i;
+    // std::string("g") rather than a bare literal: GCC 12 reports a false
+    // -Wrestrict on `"literal" + std::string&&` inlined into test bodies.
+    ASSERT_TRUE(
+        resctrl_.CreateGroup(std::string("g") + std::to_string(i)).ok())
+        << i;
   }
   EXPECT_EQ(resctrl_.CreateGroup("overflow").status().code(),
             StatusCode::kResourceExhausted);

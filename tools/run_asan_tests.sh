@@ -7,7 +7,9 @@
 # Unlike the TSan pass (tools/run_tsan_tests.sh), which targets the
 # multi-threaded code, memory and UB errors can hide anywhere, so every
 # test runs. UBSan is told to halt on its first report (by default it only
-# prints), so any sanitizer report fails the test that raised it.
+# prints), so any sanitizer report fails the test that raised it. The
+# build uses -Werror: the tree compiles warning-free, and a new warning
+# fails the pass instead of scrolling by.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -15,6 +17,7 @@ BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-Werror \
   -DCOPART_SANITIZE=address
 
 cmake --build "$BUILD_DIR" -j "$(nproc)"

@@ -8,7 +8,8 @@
 # that exercise them: the pool/ParallelFor unit tests, the registry's
 # interning suite, the cross-thread-count determinism suite, the golden
 # sweep, and the RNG splitter. tools/run_asan_tests.sh runs the full suite
-# under ASan+UBSan instead.
+# under ASan+UBSan instead. Both build with -Werror, so a new warning fails
+# the pass.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -16,6 +17,7 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-Werror \
   -DCOPART_SANITIZE=thread
 
 TESTS=(

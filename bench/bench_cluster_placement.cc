@@ -10,9 +10,10 @@
 // makes the fleet robust to placement mistakes.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
-#include "cluster/cluster.h"
+#include "cluster/fleet.h"
 #include "common/stats.h"
 #include "harness/table_printer.h"
 
@@ -25,6 +26,8 @@ struct FleetOutcome {
   double mean_node_unfairness = 0.0;
 };
 
+constexpr double kNever = std::numeric_limits<double>::infinity();
+
 FleetOutcome RunFleet(PlacementPolicy policy, bool manage,
                       const ParallelConfig& parallel) {
   // Big insensitive jobs first so core-count balancing and cache-pressure
@@ -34,21 +37,27 @@ FleetOutcome RunFleet(PlacementPolicy policy, bool manage,
       {Sp(), 2},        {Ep(), 8},            {Raytrace(), 2},
       {OceanNcp(), 2},  {Fmm(), 2},           {Ft(), 2},
       {Ep(), 2}};
-  Cluster cluster;
-  cluster.set_parallel(parallel);
-  cluster.AddNode("n0", {}, {}, manage);
-  cluster.AddNode("n1", {}, {}, manage);
+  // A plain two-node cluster: no faults, no shedding, no migration, and
+  // admission refuses only when no node fits.
+  FleetParams params;
+  params.placement = policy;
+  params.manage_nodes = manage;
+  params.admission_max_core_utilization = 1.0;
+  params.migrate_unfairness_threshold = kNever;
+  params.shed_unfairness_threshold = kNever;
+  params.parallel = parallel;
+  FleetController fleet(2, params);
   for (const auto& [workload, cores] : arrivals) {
-    CHECK(cluster.Submit(workload, cores, policy).ok());
+    CHECK(fleet.Submit({.workload = workload, .cores = cores}).ok());
   }
   for (int i = 0; i < 200; ++i) {
-    cluster.Tick(0.5);
+    fleet.RunEpoch();
   }
-  const std::vector<double> slowdowns = cluster.AllSlowdowns();
+  const std::vector<double> slowdowns = fleet.AllSlowdowns();
   return FleetOutcome{
       Mean(slowdowns),
       *std::max_element(slowdowns.begin(), slowdowns.end()),
-      cluster.MeanNodeUnfairness()};
+      fleet.MeanNodeUnfairness()};
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 //                                             what-if-best]
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
-#include "cluster/cluster.h"
+#include "cluster/fleet.h"
 #include "common/stats.h"
 #include "harness/table_printer.h"
 
@@ -26,11 +27,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  Cluster cluster;
-  for (const char* name : {"node0", "node1", "node2"}) {
-    MachineConfig config;
-    cluster.AddNode(name, config);
-  }
+  // Fleet behaviour (faults, shedding, migration) stays off: this is a
+  // plain three-node cluster whose admission refuses only when no node fits.
+  FleetParams params;
+  params.placement = policy;
+  params.admission_max_core_utilization = 1.0;
+  params.migrate_unfairness_threshold = std::numeric_limits<double>::infinity();
+  params.shed_unfairness_threshold = std::numeric_limits<double>::infinity();
+  FleetController fleet(3, params);
 
   // A mixed arrival stream: cache-hungry, bandwidth-hungry, and filler.
   const std::vector<WorkloadDescriptor> arrivals = {
@@ -40,27 +44,28 @@ int main(int argc, char** argv) {
 
   std::printf("placement policy: %s\n\n", PlacementPolicyName(policy));
   for (const WorkloadDescriptor& workload : arrivals) {
-    Result<Placement> placed = cluster.Submit(workload, 4, policy);
+    Result<FleetJobId> placed =
+        fleet.Submit({.workload = workload, .cores = 4});
     if (!placed.ok()) {
       std::printf("  %-16s -> REJECTED (%s)\n", workload.name.c_str(),
                   placed.status().ToString().c_str());
       continue;
     }
     std::printf("  %-16s -> %s\n", workload.name.c_str(),
-                placed->node->name().c_str());
+                fleet.node(fleet.jobs()[*placed].node)->name().c_str());
     // Let the fleet settle a little between arrivals, as it would live.
-    cluster.Tick(0.5);
+    fleet.RunEpoch();
   }
 
   // Converge every node's controller.
   for (int i = 0; i < 160; ++i) {
-    cluster.Tick(0.5);
+    fleet.RunEpoch();
   }
 
   std::printf("\nfleet after convergence:\n");
   std::vector<std::vector<std::string>> rows;
-  for (size_t i = 0; i < cluster.NumNodes(); ++i) {
-    ClusterNode* node = cluster.node(i);
+  for (size_t i = 0; i < fleet.NumNodes(); ++i) {
+    ClusterNode* node = fleet.node(i);
     std::string jobs;
     for (const WorkloadDescriptor& workload : node->ResidentWorkloads()) {
       jobs += (jobs.empty() ? "" : " ") + workload.short_name;
@@ -71,10 +76,10 @@ int main(int argc, char** argv) {
   }
   PrintTable({"node", "jobs", "copart", "unfairness", "resident"}, rows);
 
-  const std::vector<double> slowdowns = cluster.AllSlowdowns();
+  const std::vector<double> slowdowns = fleet.AllSlowdowns();
   std::printf("\ncluster-wide slowdowns: mean %.3f, worst %.3f\n",
               Mean(slowdowns),
               *std::max_element(slowdowns.begin(), slowdowns.end()));
-  std::printf("mean node unfairness: %.4f\n", cluster.MeanNodeUnfairness());
+  std::printf("mean node unfairness: %.4f\n", fleet.MeanNodeUnfairness());
   return 0;
 }

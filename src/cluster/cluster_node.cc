@@ -1,0 +1,143 @@
+#include "cluster/cluster_node.h"
+
+#include "common/fault_injector.h"
+#include "common/logging.h"
+#include "metrics/fairness.h"
+
+namespace copart {
+
+ClusterNode::ClusterNode(std::string name,
+                         const MachineConfig& machine_config,
+                         const ResourceManagerParams& manager_params,
+                         bool manage)
+    : name_(std::move(name)),
+      manage_(manage),
+      machine_(machine_config),
+      resctrl_(&machine_),
+      monitor_(&machine_),
+      manager_(&resctrl_, &monitor_, manager_params) {}
+
+Result<AppId> ClusterNode::Admit(const WorkloadDescriptor& workload,
+                                 uint32_t cores) {
+  Result<AppId> app = machine_.LaunchApp(workload, cores);
+  if (!app.ok()) {
+    return app.status();
+  }
+  if (!manage_) {
+    return app;  // Unmanaged node: the app shares the default group.
+  }
+  Status added = manager_.AddApp(*app);
+  if (!added.ok()) {
+    RollbackLaunch(*app);
+    return added;
+  }
+  return app;
+}
+
+Result<AppId> ClusterNode::AdmitLatencyCritical(
+    const WorkloadDescriptor& workload, uint32_t cores,
+    const LcAppModel& model) {
+  Result<AppId> app = machine_.LaunchApp(workload, cores);
+  if (!app.ok()) {
+    return app.status();
+  }
+  if (!manage_) {
+    return app;
+  }
+  Status registered = manager_.SetLatencyCriticalApp(*app, model);
+  if (!registered.ok()) {
+    RollbackLaunch(*app);
+    return registered;
+  }
+  return app;
+}
+
+void ClusterNode::RollbackLaunch(AppId app) {
+  FaultInjector* injector = machine_.config().fault_injector;
+  Status terminated =
+      injector != nullptr &&
+              injector->ShouldFail(fault_points::kClusterAdmitRollback)
+          ? UnavailableError("injected: admit rollback terminate")
+          : machine_.TerminateApp(app);
+  if (!terminated.ok()) {
+    // A CHECK here would take down the whole fleet over one zombie. The
+    // app was never accepted by the manager; park it on a quarantine list
+    // (it squats on its cores until the node reboots) and let the caller
+    // see the original admit error.
+    quarantined_apps_.push_back(app);
+    LOG_WARNING << name_ << ": admit rollback could not terminate app "
+                << app.value() << ", quarantined: " << terminated.ToString();
+  }
+}
+
+Status ClusterNode::Evict(AppId app) {
+  if (manage_) {
+    Status removed = manager_.RemoveApp(app);
+    // LC apps are not in the batch set; their CLOS is reaped on the next
+    // tick once the machine-level terminate below lands. Any other error is
+    // real and aborts the eviction.
+    if (!removed.ok() && removed.code() != StatusCode::kNotFound) {
+      return removed;
+    }
+  }
+  return machine_.TerminateApp(app);
+}
+
+void ClusterNode::Tick(double dt) {
+  machine_.AdvanceTime(dt);
+  if (manage_) {
+    manager_.Tick();
+  }
+}
+
+std::vector<WorkloadDescriptor> ClusterNode::ResidentWorkloads() const {
+  std::vector<WorkloadDescriptor> workloads;
+  for (AppId app : machine_.ListApps()) {
+    WorkloadDescriptor descriptor = machine_.Descriptor(app);
+    // Report the cores actually granted, not the descriptor's default, so
+    // what-if predictions model this node as it really runs.
+    descriptor.num_threads = machine_.AppCores(app);
+    workloads.push_back(std::move(descriptor));
+  }
+  return workloads;
+}
+
+double ClusterNode::AppSlowdown(AppId app) const {
+  const double ips = machine_.LastEpoch(app).ips;
+  if (ips <= 0.0) {
+    return 0.0;
+  }
+  return Slowdown(machine_.SoloFullResourceIps(machine_.Descriptor(app),
+                                               machine_.AppCores(app)),
+                  ips);
+}
+
+std::vector<double> ClusterNode::CurrentSlowdowns() const {
+  std::vector<double> slowdowns;
+  for (AppId app : machine_.ListApps()) {
+    const double slowdown = AppSlowdown(app);
+    if (slowdown > 0.0) {
+      slowdowns.push_back(slowdown);
+    }
+  }
+  return slowdowns;
+}
+
+double ClusterNode::CurrentUnfairness() const {
+  const std::vector<double> slowdowns = CurrentSlowdowns();
+  return Unfairness(slowdowns);
+}
+
+const char* PlacementPolicyName(PlacementPolicy policy) {
+  switch (policy) {
+    case PlacementPolicy::kFirstFit:
+      return "first-fit";
+    case PlacementPolicy::kLeastLoaded:
+      return "least-loaded";
+    case PlacementPolicy::kWhatIfBest:
+      return "what-if-best";
+  }
+  return "?";
+}
+
+}  // namespace copart

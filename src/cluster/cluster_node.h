@@ -1,32 +1,28 @@
-// Multi-node consolidation: a small cluster of simulated servers, each
-// running its own CoPart instance, with placement policies for incoming
-// jobs.
+// One node of a multi-node deployment: a simulated server running its own
+// CoPart instance.
 //
 // The paper's setting is a single consolidated server; datacenters run
 // fleets of them, and the operator's first decision — *which node gets the
 // job* — determines how much unfairness each node's CoPart has to fix.
-// This module composes the library into that workflow:
 //
-//   ClusterNode  = SimulatedMachine + Resctrl + PerfMonitor +
-//                  ResourceManager, ticked together.
-//   Cluster      = nodes + a placement policy:
-//     kFirstFit    — first node with enough free cores,
+//   ClusterNode     = SimulatedMachine + Resctrl + PerfMonitor +
+//                     ResourceManager, ticked together.
+//   PlacementPolicy = how the fleet front door (cluster/fleet.h) picks a
+//                     node for an incoming job:
+//     kFirstFit    — first node that can host the job,
 //     kLeastLoaded — most free cores,
 //     kWhatIfBest  — the node where the what-if model (harness/whatif.h)
-//                    predicts the lowest post-placement unfairness.
+//                    predicts the least marginal harm from the job.
 //
 // Per-node CoPart then partitions LLC/MBA among whatever landed there.
 // bench_cluster_placement quantifies how much placement quality the
 // what-if model buys on top of per-node CoPart.
-#ifndef COPART_CLUSTER_CLUSTER_H_
-#define COPART_CLUSTER_CLUSTER_H_
+#ifndef COPART_CLUSTER_CLUSTER_NODE_H_
+#define COPART_CLUSTER_CLUSTER_NODE_H_
 
-#include <array>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/status.h"
 #include "core/resource_manager.h"
 #include "slo/slo_governor.h"
@@ -36,8 +32,6 @@
 #include "workload/workload.h"
 
 namespace copart {
-
-class MetricsRegistry;
 
 namespace fault_points {
 // The machine-level terminate of a half-admitted app fails during the
@@ -80,7 +74,10 @@ class ClusterNode {
   // Workload descriptors of everything currently resident.
   std::vector<WorkloadDescriptor> ResidentWorkloads() const;
 
-  // Ground-truth metrics from the machine model.
+  // Ground-truth metrics from the machine model. AppSlowdown is one
+  // resident app's slowdown over its last epoch, 0 before it has run one;
+  // CurrentSlowdowns lists every app that has.
+  double AppSlowdown(AppId app) const;
   std::vector<double> CurrentSlowdowns() const;
   double CurrentUnfairness() const;
 
@@ -114,77 +111,10 @@ enum class PlacementPolicy {
   kFirstFit,
   kLeastLoaded,
   kWhatIfBest,
-  kCount,  // Sentinel: number of policies, not a policy.
 };
 
 const char* PlacementPolicyName(PlacementPolicy policy);
 
-struct Placement {
-  ClusterNode* node = nullptr;
-  AppId app;
-};
-
-class Cluster {
- public:
-  Cluster() = default;
-
-  // Adds a node; returns a stable pointer owned by the cluster.
-  // manage = false disables the per-node CoPart controller.
-  ClusterNode* AddNode(const std::string& name,
-                       const MachineConfig& machine_config = {},
-                       const ResourceManagerParams& manager_params = {},
-                       bool manage = true);
-
-  // Places and admits `workload` per `policy`. kResourceExhausted when no
-  // node has `cores` free.
-  Result<Placement> Submit(const WorkloadDescriptor& workload, uint32_t cores,
-                           PlacementPolicy policy);
-
-  void Tick(double dt);
-
-  size_t NumNodes() const { return nodes_.size(); }
-  ClusterNode* node(size_t index) { return nodes_[index].get(); }
-
-  // Fleet metrics: mean per-node unfairness and geomean of ALL job
-  // slowdowns (cluster-wide fairness of outcome).
-  double MeanNodeUnfairness() const;
-  std::vector<double> AllSlowdowns() const;
-
-  // Fan-out width for what-if placement scoring (one prediction per
-  // feasible node). Scores are reduced in node order, so the chosen node is
-  // identical for every thread count.
-  void set_parallel(const ParallelConfig& parallel) { parallel_ = parallel; }
-
-  // Fan-out accounting for the most recent what-if placement decision.
-  const SweepStats& last_whatif_stats() const { return whatif_stats_; }
-
-  // Dumps fleet health into `metrics` (null = no-op), once per run like
-  // ResourceManager::ExportMetrics: per-node gauges
-  // copart.cluster.<node>.{unfairness,jobs,free_cores} and cluster-wide
-  // placement counters copart.cluster.placements.<policy> plus
-  // copart.cluster.placements.rejected — so `copartctl trace cluster`
-  // covers multi-node runs with the same artifact surface as single-node
-  // ones.
-  void ExportMetrics(MetricsRegistry* metrics) const;
-
-  // Successful placements per policy and rejected submissions so far.
-  uint64_t placements(PlacementPolicy policy) const;
-  uint64_t placements_rejected() const { return placements_rejected_; }
-
- private:
-  ClusterNode* PickNode(const WorkloadDescriptor& workload, uint32_t cores,
-                        PlacementPolicy policy);
-
-  std::vector<std::unique_ptr<ClusterNode>> nodes_;
-  ParallelConfig parallel_;
-  SweepStats whatif_stats_;
-  // One slot per PlacementPolicy; sized from the enum's kCount sentinel so
-  // adding a policy can never silently write past the end.
-  std::array<uint64_t, static_cast<size_t>(PlacementPolicy::kCount)>
-      placement_counts_{};
-  uint64_t placements_rejected_ = 0;
-};
-
 }  // namespace copart
 
-#endif  // COPART_CLUSTER_CLUSTER_H_
+#endif  // COPART_CLUSTER_CLUSTER_NODE_H_

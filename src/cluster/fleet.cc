@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
 #include "core/system_state.h"
 #include "harness/serve.h"
 #include "harness/whatif.h"
-#include "metrics/fairness.h"
 #include "obs/audit_log.h"
 #include "obs/metrics_registry.h"
 
@@ -33,6 +33,28 @@ LcAppModel MakeLcModel(const FleetJobSpec& spec,
     return PredictLcCapabilityIps(workload, cores, ways, machine);
   };
   return model;
+}
+
+// What-if outcome of `node`'s residents plus `arrival` (null: residents
+// only) under a UCP-optimized split of the whole node. The node runs
+// CoPart, so the relevant outcome is post-partitioning, not equal-share.
+// cores_per_app 0: each job keeps its actual core count.
+WhatIfOutcome PredictOnNode(const ClusterNode& node,
+                            const WorkloadDescriptor* arrival) {
+  std::vector<WorkloadDescriptor> workloads = node.ResidentWorkloads();
+  if (arrival != nullptr) {
+    workloads.push_back(*arrival);
+  }
+  const MachineConfig& config = node.machine().config();
+  const ResourcePool pool{.first_way = 0,
+                          .num_ways = config.llc.num_ways,
+                          .max_mba_percent = 100};
+  return PredictUcpOutcome(workloads, pool, config, /*cores_per_app=*/0);
+}
+
+double TotalSlowdown(const WhatIfOutcome& outcome) {
+  return std::accumulate(outcome.slowdowns.begin(), outcome.slowdowns.end(),
+                         0.0);
 }
 
 }  // namespace
@@ -95,7 +117,7 @@ bool FleetController::NodeCanHost(size_t node_index, uint32_t cores) const {
   if (node->FreeCores() < cores + params_.node_reserve_cores) {
     return false;
   }
-  // One LLC way per resident app, as Cluster::PickNode requires.
+  // One LLC way per resident app: CAT cannot give a managed app zero ways.
   return node->machine().ListApps().size() + 1 <=
          node->machine().config().llc.num_ways;
 }
@@ -120,21 +142,82 @@ int FleetController::PickAdmissionNode(const FleetJobSpec& spec) const {
   if (used >= params_.admission_max_core_utilization) {
     return -1;
   }
-  // Least-loaded among healthy, fault-free nodes; ties keep the lowest
-  // index so placement is independent of thread count.
-  int best = -1;
-  uint32_t best_free = 0;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (status_[i].fault_active || !NodeCanHost(i, spec.cores)) {
-      continue;
+  // Every policy picks among the same feasible set: healthy, fault-quiet
+  // nodes that can host the job. Ties keep the lowest index, so placement
+  // is independent of thread count.
+  auto feasible = [&](size_t i) {
+    return !status_[i].fault_active && NodeCanHost(i, spec.cores);
+  };
+  switch (params_.placement) {
+    case PlacementPolicy::kFirstFit:
+      for (size_t i = 0; i < nodes_.size(); ++i) {
+        if (feasible(i)) {
+          return static_cast<int>(i);
+        }
+      }
+      return -1;
+    case PlacementPolicy::kLeastLoaded: {
+      int best = -1;
+      uint32_t best_free = 0;
+      for (size_t i = 0; i < nodes_.size(); ++i) {
+        if (!feasible(i)) {
+          continue;
+        }
+        const uint32_t free = nodes_[i]->FreeCores();
+        if (best < 0 || free > best_free) {
+          best = static_cast<int>(i);
+          best_free = free;
+        }
+      }
+      return best;
     }
-    const uint32_t free = nodes_[i]->FreeCores();
-    if (best < 0 || free > best_free) {
-      best = static_cast<int>(i);
-      best_free = free;
+    case PlacementPolicy::kWhatIfBest: {
+      std::vector<size_t> candidates;
+      for (size_t i = 0; i < nodes_.size(); ++i) {
+        if (feasible(i)) {
+          candidates.push_back(i);
+        }
+      }
+      WorkloadDescriptor arrival = spec.workload;
+      arrival.num_threads = spec.cores;
+      // One what-if score per feasible node, fanned out in parallel:
+      // each score reads only its own node and simulates on private
+      // machine clones inside PredictUcpOutcome.
+      const std::vector<double> scores = ParallelMap<double>(
+          params_.parallel, candidates.size(), [&](size_t c) {
+            const ClusterNode& node = *nodes_[candidates[c]];
+            // Marginal harm of the placement: how much total slowdown the
+            // newcomer adds (its own + what it inflicts on the residents).
+            // Scoring absolute levels instead would make every job flee
+            // the node that already hosts a slow app even when colocating
+            // there is harmless. A small slack term breaks ties toward
+            // emptier nodes so "free" insensitive jobs do not consume the
+            // capacity a future cache-hungry arrival will need.
+            const double before =
+                node.machine().ListApps().empty()
+                    ? 0.0
+                    : TotalSlowdown(PredictOnNode(node, nullptr));
+            const double marginal_harm =
+                TotalSlowdown(PredictOnNode(node, &arrival)) - before;
+            const double used_fraction_after =
+                1.0 -
+                static_cast<double>(node.FreeCores() - spec.cores) /
+                    static_cast<double>(node.machine().config().num_cores);
+            return marginal_harm + 0.05 * used_fraction_after;
+          });
+      // Reduce in node order: ties keep the earliest feasible node.
+      int best = -1;
+      double best_score = std::numeric_limits<double>::infinity();
+      for (size_t c = 0; c < candidates.size(); ++c) {
+        if (scores[c] < best_score) {
+          best_score = scores[c];
+          best = static_cast<int>(candidates[c]);
+        }
+      }
+      return best;
     }
   }
-  return best;
+  return -1;
 }
 
 Result<AppId> FleetController::AdmitToNode(size_t node_index,
@@ -507,7 +590,6 @@ void FleetController::PlanMigrations() {
     // Victim: the worst-slowed resident batch job on the source. LC jobs
     // are pinned — their governor-held way floor travels badly and their
     // SLO is the thing migration exists to protect.
-    const SimulatedMachine& machine = nodes_[source]->machine();
     int victim = -1;
     double victim_slowdown = 0.0;
     for (size_t j = 0; j < jobs_.size(); ++j) {
@@ -517,13 +599,10 @@ void FleetController::PlanMigrations() {
           job.verifying) {
         continue;
       }
-      const double ips = machine.LastEpoch(job.app).ips;
-      if (ips <= 0.0) {
+      const double slowdown = nodes_[source]->AppSlowdown(job.app);
+      if (slowdown <= 0.0) {
         continue;
       }
-      const double solo = machine.SoloFullResourceIps(
-          machine.Descriptor(job.app), machine.AppCores(job.app));
-      const double slowdown = Slowdown(solo, ips);
       if (victim < 0 || slowdown > victim_slowdown) {
         victim = static_cast<int>(j);
         victim_slowdown = slowdown;
@@ -564,16 +643,7 @@ void FleetController::PlanMigrations() {
     moving.num_threads = job.spec.cores;
     const std::vector<double> scores = ParallelMap<double>(
         params_.parallel, candidates.size(), [&](size_t c) {
-          ClusterNode* target = nodes_[candidates[c]].get();
-          const ResourcePool pool{
-              .first_way = 0,
-              .num_ways = target->machine().config().llc.num_ways,
-              .max_mba_percent = 100};
-          std::vector<WorkloadDescriptor> with = target->ResidentWorkloads();
-          with.push_back(moving);
-          return PredictUcpOutcome(with, pool, target->machine().config(),
-                                   /*cores_per_app=*/0)
-              .unfairness;
+          return PredictOnNode(*nodes_[candidates[c]], &moving).unfairness;
         });
     size_t best = 0;
     for (size_t c = 1; c < candidates.size(); ++c) {
@@ -825,6 +895,18 @@ void FleetController::ExportMetrics(MetricsRegistry* metrics) const {
   metrics->GetGauge("copart.fleet.mean_node_unfairness")
       ->Set(MeanNodeUnfairness());
   metrics->GetGauge("copart.fleet.epoch")->Set(static_cast<double>(epoch_));
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (status_[i].health != NodeHealth::kAlive) {
+      continue;
+    }
+    const ClusterNode& node = *nodes_[i];
+    const std::string prefix = "copart.fleet.node." + node.name();
+    metrics->GetGauge(prefix + ".unfairness")->Set(status_[i].unfairness);
+    metrics->GetGauge(prefix + ".jobs")
+        ->Set(static_cast<double>(node.NumJobs()));
+    metrics->GetGauge(prefix + ".free_cores")
+        ->Set(static_cast<double>(node.FreeCores()));
+  }
 }
 
 void FleetController::AuditNode(size_t node_index, const char* trigger) {

@@ -13,9 +13,10 @@
 //       control decision is reduced serially in node-index order
 //       afterwards, so results are bit-identical at any --threads).
 //   Front door      — Submit() applies admission control (fleet-wide
-//       utilization ceiling + per-node reserve) and places by
-//       least-loaded-first among healthy nodes; refusals are *shed*, and
-//       every shed is accounted for by the conservation invariant.
+//       utilization ceiling + per-node reserve) and places by the fleet's
+//       PlacementPolicy (least-loaded, first-fit, or what-if-best) among
+//       healthy, fault-quiet nodes; refusals are *shed*, and every shed is
+//       accounted for by the conservation invariant.
 //   Fault domains   — three seeded node-level fault points
 //       (fleet.node.{crash,slow,blackout}, common/fault_injector.h):
 //       crash loses the node's jobs and reboots it empty after a recovery
@@ -48,7 +49,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
+#include "cluster/cluster_node.h"
 #include "common/fault_injector.h"
 #include "common/parallel.h"
 #include "common/status.h"
@@ -137,6 +138,9 @@ struct FleetParams {
   // node can host the job with `node_reserve_cores` still free after it.
   double admission_max_core_utilization = 0.95;
   uint32_t node_reserve_cores = 0;
+  // Which feasible node gets an admitted job. kWhatIfBest scores every
+  // feasible node with the what-if model, fanned out over `parallel`.
+  PlacementPolicy placement = PlacementPolicy::kLeastLoaded;
 
   // --- Per-node overload shedding ---
   // A node whose unfairness stays above this for shed_trend_window epochs
@@ -238,8 +242,10 @@ class FleetController {
   std::vector<double> AllSlowdowns() const;
   double MeanNodeUnfairness() const;
 
-  // Dumps the fleet counters and health gauges (copart.fleet.*) into
-  // `metrics` (null = no-op), once per run like Cluster::ExportMetrics.
+  // Dumps the fleet counters and health gauges (copart.fleet.*, with
+  // per-alive-node copart.fleet.node.<name>.{unfairness,jobs,free_cores})
+  // into `metrics` (null = no-op), once per run like
+  // ResourceManager::ExportMetrics.
   void ExportMetrics(MetricsRegistry* metrics) const;
 
  private:

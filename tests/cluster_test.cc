@@ -1,10 +1,13 @@
 // Multi-node cluster layer: admission, placement policies, fleet metrics.
-#include "cluster/cluster.h"
+#include "cluster/fleet.h"
 
 #include <gtest/gtest.h>
 
-#include "cluster/fleet.h"
+#include <limits>
+
+#include "cluster/cluster_node.h"
 #include "common/fault_injector.h"
+#include "common/stats.h"
 #include "harness/fleet.h"
 #include "obs/metrics_registry.h"
 
@@ -15,6 +18,33 @@ MachineConfig QuietConfig() {
   MachineConfig config;
   config.ips_noise_sigma = 0.005;
   return config;
+}
+
+FleetParams QuietFleetParams() {
+  FleetParams params;
+  params.machine = QuietConfig();
+  params.parallel.num_threads = 1;
+  return params;
+}
+
+// A plain multi-node cluster placing by `placement`: no faults, no
+// shedding, no migration, and admission refuses only when no node fits.
+FleetParams ClusterParams(PlacementPolicy placement) {
+  FleetParams params = QuietFleetParams();
+  params.placement = placement;
+  params.admission_max_core_utilization = 1.0;
+  params.migrate_unfairness_threshold = std::numeric_limits<double>::infinity();
+  params.shed_unfairness_threshold = std::numeric_limits<double>::infinity();
+  return params;
+}
+
+FleetJobSpec BatchJob(const WorkloadDescriptor& workload, uint32_t cores,
+                      int lifetime_epochs = 0) {
+  FleetJobSpec spec;
+  spec.workload = workload;
+  spec.cores = cores;
+  spec.lifetime_epochs = lifetime_epochs;
+  return spec;
 }
 
 TEST(ClusterNodeTest, AdmitEvictLifecycle) {
@@ -60,117 +90,95 @@ TEST(ClusterNodeTest, TickDrivesControllerToConvergence) {
 }
 
 TEST(ClusterTest, SubmitRespectsCapacity) {
-  Cluster cluster;
-  cluster.AddNode("n0", QuietConfig());
-  cluster.AddNode("n1", QuietConfig());
+  FleetController fleet(2, ClusterParams(PlacementPolicy::kFirstFit));
   // 8 jobs x 4 cores fill both 16-core nodes.
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(
-        cluster.Submit(Swaptions(), 4, PlacementPolicy::kFirstFit).ok())
-        << i;
+    ASSERT_TRUE(fleet.Submit(BatchJob(Swaptions(), 4)).ok()) << i;
   }
-  Result<Placement> overflow =
-      cluster.Submit(Swaptions(), 4, PlacementPolicy::kFirstFit);
+  Result<FleetJobId> overflow = fleet.Submit(BatchJob(Swaptions(), 4));
   EXPECT_FALSE(overflow.ok());
   EXPECT_EQ(overflow.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(ClusterTest, FirstFitPacksLeastLoadedSpreads) {
-  Cluster cluster;
-  ClusterNode* n0 = cluster.AddNode("n0", QuietConfig());
-  ClusterNode* n1 = cluster.AddNode("n1", QuietConfig());
-
-  Result<Placement> a =
-      cluster.Submit(Swaptions(), 4, PlacementPolicy::kFirstFit);
-  Result<Placement> b =
-      cluster.Submit(Swaptions(), 4, PlacementPolicy::kFirstFit);
+  FleetController first_fit(2, ClusterParams(PlacementPolicy::kFirstFit));
+  Result<FleetJobId> a = first_fit.Submit(BatchJob(Swaptions(), 4));
+  Result<FleetJobId> b = first_fit.Submit(BatchJob(Swaptions(), 4));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->node, n0);
-  EXPECT_EQ(b->node, n0);  // First fit keeps packing node 0.
+  EXPECT_EQ(first_fit.jobs()[*a].node, 0);
+  EXPECT_EQ(first_fit.jobs()[*b].node, 0);  // First fit keeps packing node 0.
 
-  Result<Placement> c =
-      cluster.Submit(Swaptions(), 4, PlacementPolicy::kLeastLoaded);
+  FleetController least_loaded(2,
+                               ClusterParams(PlacementPolicy::kLeastLoaded));
+  Result<FleetJobId> c = least_loaded.Submit(BatchJob(Swaptions(), 4));
+  Result<FleetJobId> d = least_loaded.Submit(BatchJob(Swaptions(), 4));
   ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c->node, n1);  // Least loaded spreads to the empty node.
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(least_loaded.jobs()[*c].node, 0);
+  EXPECT_EQ(least_loaded.jobs()[*d].node, 1);  // Spreads to the empty node.
 }
 
 TEST(ClusterTest, WhatIfPlacementAvoidsCacheContention) {
-  Cluster cluster;
-  ClusterNode* n0 = cluster.AddNode("n0", QuietConfig());
-  ClusterNode* n1 = cluster.AddNode("n1", QuietConfig());
-  // Seed node 0 with a cache-hungry job and node 1 with an insensitive one
-  // (same core load on both).
-  ASSERT_TRUE(n0->Admit(Sp(), 4).ok());
-  ASSERT_TRUE(n1->Admit(Swaptions(), 4).ok());
+  FleetController fleet(2, ClusterParams(PlacementPolicy::kWhatIfBest));
+  // Node 0 gets a cache-hungry job and node 1 an insensitive one (same
+  // core load on both).
+  Result<FleetJobId> sp = fleet.Submit(BatchJob(Sp(), 4));
+  Result<FleetJobId> swaptions = fleet.Submit(BatchJob(Swaptions(), 4));
+  ASSERT_TRUE(sp.ok());
+  ASSERT_TRUE(swaptions.ok());
+  ASSERT_EQ(fleet.jobs()[*sp].node, 0);
+  ASSERT_EQ(fleet.jobs()[*swaptions].node, 1);
   // A second cache-hungry job: the what-if model must route it AWAY from
   // the node already full of cache pressure.
-  Result<Placement> placed =
-      cluster.Submit(WaterNsquared(), 4, PlacementPolicy::kWhatIfBest);
+  Result<FleetJobId> placed = fleet.Submit(BatchJob(WaterNsquared(), 4));
   ASSERT_TRUE(placed.ok());
-  EXPECT_EQ(placed->node, n1);
+  EXPECT_EQ(fleet.jobs()[*placed].node, 1);
 }
 
 TEST(ClusterTest, FleetMetricsAggregate) {
-  Cluster cluster;
-  cluster.AddNode("n0", QuietConfig());
-  cluster.AddNode("n1", QuietConfig());
-  ASSERT_TRUE(
-      cluster.Submit(WaterNsquared(), 4, PlacementPolicy::kLeastLoaded).ok());
-  ASSERT_TRUE(
-      cluster.Submit(Cg(), 4, PlacementPolicy::kLeastLoaded).ok());
-  ASSERT_TRUE(
-      cluster.Submit(Sp(), 4, PlacementPolicy::kLeastLoaded).ok());
-  ASSERT_TRUE(
-      cluster.Submit(Swaptions(), 4, PlacementPolicy::kLeastLoaded).ok());
-  cluster.Tick(0.5);
-  EXPECT_EQ(cluster.AllSlowdowns().size(), 4u);
-  EXPECT_GE(cluster.MeanNodeUnfairness(), 0.0);
+  FleetController fleet(2, ClusterParams(PlacementPolicy::kLeastLoaded));
+  ASSERT_TRUE(fleet.Submit(BatchJob(WaterNsquared(), 4)).ok());
+  ASSERT_TRUE(fleet.Submit(BatchJob(Cg(), 4)).ok());
+  ASSERT_TRUE(fleet.Submit(BatchJob(Sp(), 4)).ok());
+  ASSERT_TRUE(fleet.Submit(BatchJob(Swaptions(), 4)).ok());
+  fleet.RunEpoch();
+  EXPECT_EQ(fleet.AllSlowdowns().size(), 4u);
+  EXPECT_GE(fleet.MeanNodeUnfairness(), 0.0);
 }
 
 TEST(ClusterTest, ExportMetricsPublishesPlacementAndFairnessCounters) {
-  Cluster cluster;
-  cluster.AddNode("n0", QuietConfig());
-  cluster.AddNode("n1", QuietConfig());
-  ASSERT_TRUE(
-      cluster.Submit(WaterNsquared(), 4, PlacementPolicy::kFirstFit).ok());
-  ASSERT_TRUE(cluster.Submit(Cg(), 4, PlacementPolicy::kLeastLoaded).ok());
-  ASSERT_TRUE(cluster.Submit(Sp(), 4, PlacementPolicy::kLeastLoaded).ok());
-  ASSERT_TRUE(
-      cluster.Submit(Swaptions(), 4, PlacementPolicy::kWhatIfBest).ok());
+  FleetController fleet(2, ClusterParams(PlacementPolicy::kWhatIfBest));
+  ASSERT_TRUE(fleet.Submit(BatchJob(WaterNsquared(), 4)).ok());
+  ASSERT_TRUE(fleet.Submit(BatchJob(Cg(), 4)).ok());
+  ASSERT_TRUE(fleet.Submit(BatchJob(Sp(), 4)).ok());
+  ASSERT_TRUE(fleet.Submit(BatchJob(Swaptions(), 4)).ok());
   // Sixteen cores can no longer be free on either node: guaranteed reject.
-  EXPECT_FALSE(cluster.Submit(Ep(), 16, PlacementPolicy::kFirstFit).ok());
+  EXPECT_FALSE(fleet.Submit(BatchJob(Ep(), 16)).ok());
 
-  EXPECT_EQ(cluster.placements(PlacementPolicy::kFirstFit), 1u);
-  EXPECT_EQ(cluster.placements(PlacementPolicy::kLeastLoaded), 2u);
-  EXPECT_EQ(cluster.placements(PlacementPolicy::kWhatIfBest), 1u);
-  EXPECT_EQ(cluster.placements_rejected(), 1u);
+  EXPECT_EQ(fleet.counters().submitted, 5u);
+  EXPECT_EQ(fleet.counters().shed_admission, 1u);
 
   for (int i = 0; i < 10; ++i) {
-    cluster.Tick(0.5);
+    fleet.RunEpoch();
   }
   MetricsRegistry metrics;
-  cluster.ExportMetrics(&metrics);
-  EXPECT_EQ(metrics.GetCounter("copart.cluster.placements.first-fit")->value(),
+  fleet.ExportMetrics(&metrics);
+  // Placements = submitted - shed at admission.
+  EXPECT_EQ(metrics.GetCounter("copart.fleet.jobs.submitted")->value(), 5u);
+  EXPECT_EQ(metrics.GetCounter("copart.fleet.jobs.shed_admission")->value(),
             1u);
-  EXPECT_EQ(
-      metrics.GetCounter("copart.cluster.placements.least-loaded")->value(),
-      2u);
-  EXPECT_EQ(
-      metrics.GetCounter("copart.cluster.placements.what-if-best")->value(),
-      1u);
-  EXPECT_EQ(metrics.GetCounter("copart.cluster.placements.rejected")->value(),
-            1u);
-  EXPECT_EQ(metrics.GetGauge("copart.cluster.n0.jobs")->value() +
-                metrics.GetGauge("copart.cluster.n1.jobs")->value(),
+  EXPECT_EQ(metrics.GetGauge("copart.fleet.node.n0.jobs")->value() +
+                metrics.GetGauge("copart.fleet.node.n1.jobs")->value(),
             4.0);
-  EXPECT_EQ(metrics.GetGauge("copart.cluster.n0.free_cores")->value() +
-                metrics.GetGauge("copart.cluster.n1.free_cores")->value(),
+  EXPECT_EQ(metrics.GetGauge("copart.fleet.node.n0.free_cores")->value() +
+                metrics.GetGauge("copart.fleet.node.n1.free_cores")->value(),
             16.0);
-  EXPECT_GE(metrics.GetGauge("copart.cluster.mean_unfairness")->value(), 0.0);
-  EXPECT_GE(metrics.GetGauge("copart.cluster.n0.unfairness")->value(), 0.0);
+  EXPECT_GE(metrics.GetGauge("copart.fleet.mean_node_unfairness")->value(),
+            0.0);
+  EXPECT_GE(metrics.GetGauge("copart.fleet.node.n0.unfairness")->value(), 0.0);
   // Null registry: a no-op, not a crash.
-  cluster.ExportMetrics(nullptr);
+  fleet.ExportMetrics(nullptr);
 }
 
 TEST(ClusterNodeTest, EvictUnknownAppReturnsNotFound) {
@@ -210,22 +218,6 @@ TEST(ClusterNodeTest, AdmitRollbackQuarantinesWhenTerminateFails) {
   ASSERT_EQ(node.quarantined_apps().size(), 1u);
   EXPECT_EQ(node.machine().ListApps().size(), 12u);
   EXPECT_EQ(node.NumJobs(), 11u);
-}
-
-FleetParams QuietFleetParams() {
-  FleetParams params;
-  params.machine = QuietConfig();
-  params.parallel.num_threads = 1;
-  return params;
-}
-
-FleetJobSpec BatchJob(const WorkloadDescriptor& workload, uint32_t cores,
-                      int lifetime_epochs = 0) {
-  FleetJobSpec spec;
-  spec.workload = workload;
-  spec.cores = cores;
-  spec.lifetime_epochs = lifetime_epochs;
-  return spec;
 }
 
 TEST(FleetTest, JobsRunToCompletionAndConservationHolds) {
@@ -360,25 +352,66 @@ TEST(ClusterTest, WhatIfBeatsFirstFitOnASkewedArrivalSequence) {
       WaterNsquared(), WaterSpatial(), Sp(),  OceanNcp(), Raytrace(),
       Swaptions(),     Ep(),           Ep(),  Swaptions(), Ep()};
   auto run = [&](PlacementPolicy policy) {
-    Cluster cluster;
-    cluster.AddNode("n0", QuietConfig());
-    cluster.AddNode("n1", QuietConfig());
+    FleetController fleet(2, ClusterParams(policy));
     for (const WorkloadDescriptor& workload : arrivals) {
-      CHECK(cluster.Submit(workload, 2, policy).ok());
+      CHECK(fleet.Submit(BatchJob(workload, 2)).ok());
     }
     for (int i = 0; i < 200; ++i) {
-      cluster.Tick(0.5);
+      fleet.RunEpoch();
     }
-    double sum = 0.0;
-    for (double slowdown : cluster.AllSlowdowns()) {
-      sum += slowdown;
-    }
-    return sum / static_cast<double>(cluster.AllSlowdowns().size());
+    return Mean(fleet.AllSlowdowns());
   };
   const double first_fit_mean = run(PlacementPolicy::kFirstFit);
   const double whatif_mean = run(PlacementPolicy::kWhatIfBest);
   EXPECT_LT(whatif_mean, first_fit_mean)
       << "what-if " << whatif_mean << " vs first-fit " << first_fit_mean;
+}
+
+TEST(ClusterTest, WhatIfAdmissionIsBitIdenticalAcrossThreadCounts) {
+  // One arrival sequence under what-if admission, with bounded lifetimes
+  // so later arrivals land on a churning fleet: the job -> node map, the
+  // outcome summary and the metrics must not depend on the scoring
+  // fan-out width.
+  const std::vector<WorkloadDescriptor> arrivals = {
+      WaterNsquared(), Cg(),  Sp(),       Swaptions(), WaterSpatial(),
+      OceanCp(),       Ep(),  OceanNcp(), Raytrace(),  Ft(),
+      Fmm(),           Ep()};
+  auto run = [&](uint32_t threads) {
+    FleetParams params = QuietFleetParams();
+    params.placement = PlacementPolicy::kWhatIfBest;
+    params.parallel.num_threads = threads;
+    FleetController fleet(4, params);
+    std::string placements;
+    for (size_t k = 0; k < arrivals.size(); ++k) {
+      const Result<FleetJobId> id = fleet.Submit(BatchJob(
+          arrivals[k], k % 2 == 0 ? 2 : 4, 8 + static_cast<int>(k)));
+      placements += std::to_string(k) + "->" +
+                    (id.ok() ? std::to_string(fleet.jobs()[*id].node)
+                             : std::string("shed")) +
+                    "\n";
+      fleet.RunEpoch();
+    }
+    for (int e = 0; e < 10; ++e) {
+      fleet.RunEpoch();
+    }
+    EXPECT_TRUE(fleet.first_violation().empty()) << fleet.first_violation();
+    FleetScenarioResult result;
+    result.counters = fleet.counters();
+    result.alive_nodes = fleet.AliveNodes();
+    result.resident_jobs = fleet.ResidentJobs();
+    result.node_ticks = fleet.node_ticks();
+    result.mean_node_unfairness = fleet.MeanNodeUnfairness();
+    result.fleet_p99_slowdown = Percentile(fleet.AllSlowdowns(), 99.0);
+    MetricsRegistry metrics;
+    fleet.ExportMetrics(&metrics);
+    return placements + result.DeterministicSummary() +
+           metrics.DumpJson(/*deterministic_only=*/true);
+  };
+  const std::string serial = run(1);
+  EXPECT_EQ(serial, run(4));
+  // Every job was placed and the fleet spread them over several nodes.
+  EXPECT_EQ(serial.find("shed\n"), std::string::npos) << serial;
+  EXPECT_NE(serial.find("->3\n"), std::string::npos) << serial;
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "resctrl/resctrl.h"
 
 namespace copart {
@@ -64,6 +68,112 @@ TEST(SchemataParseTest, RoundTripsThroughToString) {
     ASSERT_TRUE(schemata.ok());
     EXPECT_EQ(schemata->ToString(), text);
   }
+}
+
+enum class SchemataMutation {
+  kByteFlip,
+  kTruncate,
+  kInsertSeparator,
+  kLongHex,
+  kLongDecimal,
+};
+
+// One seeded mutant of `text`: byte flips, a truncation, schemata-significant
+// bytes (';', '\n', '=', ':') at a random offset, or an over-long hex or
+// decimal run spliced in where it may land inside a value.
+std::string MutateSchemata(const std::string& text, SchemataMutation mutation,
+                           Rng& rng) {
+  std::string out = text;
+  const size_t at = rng.NextUint64(text.size() + 1);
+  switch (mutation) {
+    case SchemataMutation::kByteFlip: {
+      if (out.empty()) {
+        break;
+      }
+      const int flips = static_cast<int>(rng.NextUint64(3)) + 1;
+      for (int i = 0; i < flips; ++i) {
+        const size_t pos = rng.NextUint64(out.size());
+        out[pos] = static_cast<char>(out[pos] ^ (1u << rng.NextUint64(8)));
+      }
+      break;
+    }
+    case SchemataMutation::kTruncate:
+      out.resize(at);
+      break;
+    case SchemataMutation::kInsertSeparator: {
+      static const char kSignificant[] = ";\n=:";
+      const size_t count = rng.NextUint64(3) + 1;
+      for (size_t i = 0; i < count; ++i) {
+        out.insert(out.begin() + static_cast<std::ptrdiff_t>(at),
+                   kSignificant[rng.NextUint64(sizeof(kSignificant) - 1)]);
+      }
+      break;
+    }
+    case SchemataMutation::kLongHex: {
+      static const char kHex[] = "0123456789abcdefABCDEF";
+      std::string digits;
+      for (size_t n = rng.NextUint64(24) + 8; digits.size() < n;) {
+        digits.push_back(kHex[rng.NextUint64(sizeof(kHex) - 1)]);
+      }
+      out.insert(at, digits);
+      break;
+    }
+    case SchemataMutation::kLongDecimal: {
+      // Around the 9/10-digit edge of the MB parser.
+      std::string digits;
+      for (size_t n = rng.NextUint64(4) + 8; digits.size() < n;) {
+        digits.push_back(static_cast<char>('0' + rng.NextUint64(10)));
+      }
+      out.insert(at, digits);
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(SchemataFuzzTest, MutantsParseOrReturnInvalidArgumentAndRoundTrip) {
+  const std::vector<std::string> corpus = {
+      // Accepted.
+      "L3:0=7ff;MB:0=100", "L3:0=3f\nMB:0=40\n",
+      "  L3 : 0 = 0x1C \n  MB:0= 50 ", "L3:0=f0", "MB:0=30",
+      "L3:0=ffffffffffffffff", "MB:0=999999999",
+      // Rejected.
+      "", ";", "L3:1=7ff", "=7ff", "L3:0=7ff;L3:0=3", "MB:0=1000000000",
+      "L3:0=1ffffffffffffffff"};
+  constexpr SchemataMutation kMutations[] = {
+      SchemataMutation::kByteFlip, SchemataMutation::kTruncate,
+      SchemataMutation::kInsertSeparator, SchemataMutation::kLongHex,
+      SchemataMutation::kLongDecimal};
+  int accepted = 0;
+  int rejected = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    for (size_t c = 0; c < corpus.size(); ++c) {
+      for (const SchemataMutation mutation : kMutations) {
+        Rng rng = Rng(seed).Fork(c * 8 + static_cast<size_t>(mutation));
+        const std::string mutant = MutateSchemata(corpus[c], mutation, rng);
+        const Result<Schemata> schemata = ParseSchemata(mutant);
+        if (!schemata.ok()) {
+          EXPECT_EQ(schemata.status().code(), StatusCode::kInvalidArgument)
+              << "'" << mutant << "': " << schemata.status().ToString();
+          ++rejected;
+          continue;
+        }
+        ++accepted;
+        // Whatever is accepted must render to a string that parses back to
+        // the same entries.
+        const std::string rendered = schemata->ToString();
+        const Result<Schemata> again = ParseSchemata(rendered);
+        ASSERT_TRUE(again.ok()) << "'" << mutant << "' -> '" << rendered
+                                << "': " << again.status().ToString();
+        EXPECT_EQ(again->l3_mask, schemata->l3_mask) << rendered;
+        EXPECT_EQ(again->mb_percent, schemata->mb_percent) << rendered;
+        EXPECT_EQ(again->ToString(), rendered);
+      }
+    }
+  }
+  // The mutators must exercise both outcomes to mean anything.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 class WriteSchemataTest : public ::testing::Test {

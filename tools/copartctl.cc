@@ -43,10 +43,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
-#include "cluster/cluster.h"
 #include "common/parallel.h"
 #include "harness/case_study.h"
 #include "harness/chaos.h"
@@ -484,33 +484,41 @@ int CmdTrace(const std::string& target, size_t count, double duration,
                 result.run_batch_unfairness);
   } else if (target == "cluster") {
     // A small placement demo: two managed nodes, six jobs placed by the
-    // what-if policy, run to convergence. Node 0's controller carries the
-    // trace/audit streams; the cluster dumps fleet gauges and placement
-    // counters into the shared metrics registry.
-    Cluster cluster;
-    ClusterNode* n0 = cluster.AddNode("n0");
-    cluster.AddNode("n1");
-    n0->manager().SetObservability(&obs);
+    // what-if policy, run to convergence with every fleet behaviour
+    // (faults, shedding, migration) off. Node n0's controller carries the
+    // trace/audit streams, ticked inline so its spans stay on one trace
+    // thread; the fleet dumps its counters and per-node gauges into the
+    // shared metrics registry.
+    FleetParams params;
+    params.placement = PlacementPolicy::kWhatIfBest;
+    params.admission_max_core_utilization = 1.0;
+    params.migrate_unfairness_threshold =
+        std::numeric_limits<double>::infinity();
+    params.shed_unfairness_threshold = std::numeric_limits<double>::infinity();
+    params.parallel.num_threads = 1;
+    FleetController fleet(2, params);
+    fleet.node(0)->manager().SetObservability(&obs);
     const WorkloadDescriptor jobs[] = {WaterNsquared(), Cg(),  Sp(),
                                        Swaptions(),     Fmm(), Ep()};
     for (const WorkloadDescriptor& job : jobs) {
-      const Result<Placement> placed =
-          cluster.Submit(job, 4, PlacementPolicy::kWhatIfBest);
+      const Result<FleetJobId> placed =
+          fleet.Submit({.workload = job, .cores = 4});
       if (!placed.ok()) {
         std::fprintf(stderr, "%s\n", placed.status().ToString().c_str());
         return 1;
       }
     }
     for (int tick = 0; tick < 40; ++tick) {
-      cluster.Tick(0.5);
+      fleet.RunEpoch();
     }
-    cluster.ExportMetrics(ObsMetrics(&obs));
+    fleet.ExportMetrics(ObsMetrics(&obs));
+    const FleetCounters& counters = fleet.counters();
     std::printf("cluster (2 nodes, 6 jobs, what-if placement), "
                 "observability on node n0:\n");
     std::printf("mean node unfairness: %.4f   what-if placements: %llu\n",
-                cluster.MeanNodeUnfairness(),
-                static_cast<unsigned long long>(
-                    cluster.placements(PlacementPolicy::kWhatIfBest)));
+                fleet.MeanNodeUnfairness(),
+                static_cast<unsigned long long>(counters.submitted -
+                                                counters.shed_admission));
   } else {
     Result<MixFamily> family = FindMix(target);
     if (!family.ok()) {

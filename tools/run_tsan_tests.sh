@@ -22,9 +22,10 @@ cmake -B "$BUILD_DIR" -S . \
 
 TESTS=(
   # The fleet controller ticks hundreds of nodes on the pool every epoch
-  # and scores migration candidates with a parallel what-if fan-out; the
-  # chaos suite additionally fans 200 whole fleet schedules out on the
-  # outer pool. Both must stay race-free and thread-count-invariant.
+  # and scores what-if admission and migration candidates with a parallel
+  # fan-out; the chaos suite additionally fans 200 whole fleet schedules
+  # out on the outer pool. Both must stay race-free and
+  # thread-count-invariant.
   cluster_test
   cluster_chaos_test
   # Compiled miss-ratio curves are interned in one process-wide registry
